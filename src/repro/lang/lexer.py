@@ -1,9 +1,12 @@
 """Tokenizer for the textual IR.
 
 Token kinds: ``NAME`` (identifiers, possibly with a ``.N`` SSA-version
-suffix handled by the parser), ``INT``, punctuation (``( ) { } , : =``) and
-``NEWLINE`` markers are not needed — the grammar is entirely
-punctuation-delimited.  ``#`` starts a comment running to end of line.
+suffix handled by the parser; a ``-`` followed by a letter continues a
+name, so hyphenated function names such as ``mem-stream`` read back as
+printed while ``a-1`` still lexes as ``a`` and ``-1``), ``INT``,
+punctuation (``( ) { } , : =``) and ``NEWLINE`` markers are not needed —
+the grammar is entirely punctuation-delimited.  ``#`` starts a comment
+running to end of line.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ _TOKEN_RE = re.compile(
     (?P<WS>[ \t\r\n]+)
   | (?P<COMMENT>\#[^\n]*)
   | (?P<INT>-?\d+)
-  | (?P<NAME>[%A-Za-z_][%A-Za-z_0-9]*(\.\d+)?)
+  | (?P<NAME>[%A-Za-z_][%A-Za-z_0-9]*(?:-[%A-Za-z_][%A-Za-z_0-9]*)*(\.\d+)?)
   | (?P<PUNCT>[(){},:=])
     """,
     re.VERBOSE,

@@ -71,8 +71,11 @@ from repro.profiles.profile import ExecutionProfile
 #: both engines, a >=2x counting-event reduction over full counting,
 #: and the profile-quality study (exact vs reconstructed vs sampled vs
 #: stale training profiles -> MC-SSAPRE dynamic-cost optimality delta,
-#: with the reconstructed delta pinned to zero).
-BENCH_SCHEMA_VERSION = 8
+#: with the reconstructed delta pinned to zero).  v9 moved the
+#: top-level "quick"/"repeat" into "section_runs" (each section's own
+#: quick/repeat), so ``--only`` can merge sections into an existing
+#: record.
+BENCH_SCHEMA_VERSION = 9
 
 #: Step budget for the measured runs (matches the pipeline default).
 MAX_STEPS = 5_000_000
@@ -1462,31 +1465,22 @@ def run_perf(
     t0 = time.perf_counter()
     payload = {
         "schema": BENCH_SCHEMA_VERSION,
-        "quick": quick,
-        "repeat": repeat,
         "solver": solver,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    ok = True
     if "execution" in chosen:
-        execution = bench_execution(names, repeat)
-        payload["execution"] = execution
-        ok = ok and execution["equivalent"]
+        payload["execution"] = bench_execution(names, repeat)
     if "compile" in chosen:
         payload["compile"] = bench_compile(names, repeat, solver=solver)
     if "memory" in chosen:
-        memory = bench_memory(memory_names, repeat)
-        payload["memory"] = memory
-        ok = ok and memory["ok"]
+        payload["memory"] = bench_memory(memory_names, repeat)
     if "iterative" in chosen:
-        iterative = bench_iterative(iter_names, repeat)
-        payload["iterative"] = iterative
-        ok = ok and iterative["ok"]
+        payload["iterative"] = bench_iterative(iter_names, repeat)
     if "solver_scaling" in chosen:
-        solver_scaling = bench_solver_scaling(scaling_sizes, repeat)
-        payload["solver_scaling"] = solver_scaling
-        ok = ok and solver_scaling["ok"]
+        payload["solver_scaling"] = bench_solver_scaling(
+            scaling_sizes, repeat
+        )
     if "serving" in chosen:
         serving = bench_serving(repeat, requests=36 if quick else 96)
         adaptation = bench_adaptation()
@@ -1498,15 +1492,65 @@ def run_perf(
         serving["cluster"] = cluster
         serving["ok"] = bool(serving["ok"] and cluster["ok"])
         payload["serving"] = serving
-        ok = ok and serving["ok"]
     if "maxflow" in chosen:
-        maxflow = bench_maxflow(sizes, repeat)
-        payload["maxflow"] = maxflow
-        ok = ok and maxflow["agreed"]
+        payload["maxflow"] = bench_maxflow(sizes, repeat)
     if "profiling" in chosen:
-        profiling = bench_profiling(profiling_names, repeat)
-        payload["profiling"] = profiling
-        ok = ok and profiling["ok"]
-    payload["ok"] = bool(ok)
+        payload["profiling"] = bench_profiling(profiling_names, repeat)
+    payload["section_runs"] = {
+        name: {"quick": quick, "repeat": repeat}
+        for name in SECTION_NAMES if name in payload
+    }
+    payload["ok"] = payload_ok(payload)
     payload["wall_time_s"] = round(time.perf_counter() - t0, 3)
     return payload
+
+
+#: The correctness verdict of each gated section (``compile`` has none).
+_SECTION_GATES = {
+    "execution": "equivalent",
+    "memory": "ok",
+    "iterative": "ok",
+    "solver_scaling": "ok",
+    "serving": "ok",
+    "maxflow": "agreed",
+    "profiling": "ok",
+}
+
+
+def payload_ok(payload: dict) -> bool:
+    """Whether every gated section present in *payload* passed."""
+    return all(
+        bool(payload[name][gate])
+        for name, gate in _SECTION_GATES.items()
+        if name in payload
+    )
+
+
+def merge_payload(record: dict, payload: dict) -> dict:
+    """*payload*'s sections laid over an existing BENCH.json *record*.
+
+    Sections *payload* did not run keep their recorded numbers and their
+    own ``section_runs`` entry (quick/repeat), so ``--only`` refreshes
+    part of the record without wiping the rest.  A record of another
+    schema version (or anything but a record) is not comparable and is
+    replaced outright.
+    """
+    if not isinstance(record, dict) or record.get("schema") != payload["schema"]:
+        return payload
+    runs = dict(record.get("section_runs", {}))
+    runs.update(payload["section_runs"])
+    merged = {
+        key: value
+        for key, value in payload.items()
+        if key not in SECTION_NAMES
+        and key not in ("section_runs", "ok", "wall_time_s")
+    }
+    for name in SECTION_NAMES:
+        if name in payload or name in record:
+            merged[name] = payload.get(name, record.get(name))
+    merged["section_runs"] = {
+        name: runs[name] for name in SECTION_NAMES if name in merged
+    }
+    merged["ok"] = payload_ok(merged)
+    merged["wall_time_s"] = payload["wall_time_s"]
+    return merged

@@ -3,7 +3,9 @@
 Runs the pinned benchmark suite and writes ``BENCH.json`` (schema in
 ``docs/PERF.md``).  ``--quick`` trims the workload and network lists for
 CI smoke runs; ``--only SECTION`` (repeatable) restricts the run to a
-subset of sections; ``--json`` prints the payload to stdout as well.
+subset of sections and merges them into the record already at
+``--out``, keeping the other sections; ``--json`` prints the written
+record to stdout as well.  The exit status gates only the sections run.
 
 Exit status: 0 when every correctness gate passed, 1 otherwise — the
 timings themselves never fail the run (they are environment-dependent);
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from repro.core.solvers.base import SOLVER_NAMES
-from repro.perf.bench import SECTION_NAMES, run_perf
+from repro.perf.bench import SECTION_NAMES, merge_payload, run_perf
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,8 +52,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--only", action="append", choices=SECTION_NAMES, default=None,
         metavar="SECTION",
-        help="run only this section (repeatable); the payload and the "
-        "exit-status gates cover just the sections run",
+        help="run only this section (repeatable) and merge it into the "
+        "record at --out; the exit-status gates cover just the sections run",
     )
     parser.add_argument(
         "--out", default="BENCH.json", metavar="PATH",
@@ -67,8 +69,15 @@ def main(argv: list[str] | None = None) -> int:
         quick=args.quick, repeat=args.repeat, solver=args.solver,
         sections=tuple(args.only) if args.only else None,
     )
-    text = json.dumps(payload, indent=2) + "\n"
-    Path(args.out).write_text(text)
+    out = Path(args.out)
+    record = payload
+    if args.only and out.exists():
+        try:
+            record = merge_payload(json.loads(out.read_text()), payload)
+        except ValueError:
+            record = payload  # not JSON: start a fresh record
+    text = json.dumps(record, indent=2) + "\n"
+    out.write_text(text)
 
     if args.json:
         print(text, end="")

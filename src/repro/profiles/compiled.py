@@ -1,31 +1,53 @@
-"""Compiled execution back end: one-time lowering to a flat register machine.
+"""Compiled execution back end: each IR function lowered to one Python function.
 
 The reference interpreter (:mod:`repro.profiles.interp`) re-dispatches on
 instruction class and re-hashes :class:`~repro.ir.values.Var` keys on every
 executed statement.  Every experiment in this reproduction — the paper's
-tables and figures, the ``repro.check`` oracles, the FDO train/ref runs —
-bottoms out in that loop, so this module lowers a
-:class:`~repro.ir.function.Function` **once** into specialised Python code
-and executes that instead:
+tables and figures, the ``repro.check`` oracles, the FDO train/ref runs,
+every served request — bottoms out in that loop, so this module lowers a
+:class:`~repro.ir.function.Function` **once** into the source of a single
+Python function and executes that instead.  A block entry costs no Python
+call at all:
 
-* variables are numbered into list slots — no dict hashing at run time;
-* each basic block becomes one generated Python function executing its
-  whole body straight-line, with operand slots and op handlers resolved
-  at compile time (constants are inlined as literals);
-* phis are pre-grouped per (predecessor, successor) edge and compiled
-  into parallel move sequences at the end of the predecessor;
-* block labels are resolved to integer indices; the run loop is
-  ``e = blocks[b](regs, out)`` plus one edge-counter increment.
+* variables are numbered into register slots that become Python locals
+  (``r7``), parameters become arguments, arrays become local lists;
+  constants are inlined as literals and the simple operators as Python
+  expressions (``(r3 + r4)``), the rest call their handler directly;
+* reducible control flow becomes structured code.  Blocks are placed
+  along the dominator tree: a block with a single incoming edge is
+  emitted inline in its predecessor's branch arm, a join after the
+  ``if`` that splits to it, a natural loop as ``while True:`` (back
+  edges are ``continue``, the loop's first exit is ``break``) with the
+  blocks it exits to placed after the loop;
+* every edge that structure cannot express — an irreducible CFG, a
+  second exit out of a loop, an exit out of two loops at once, a nest
+  past Python's limits of 20 statically nested loops and 100
+  indentation levels, or blocks placed inside one another deeper than
+  the lowering recurses — targets a *region root*.  Regions are dispatched
+  by a block-state loop in the same frame (``while True: if b == 0:
+  ...``); such an edge sets ``b`` and leaves through ``break``/
+  ``continue``.  A structured function has no state loop at all;
+* phis become parallel moves at the end of the predecessor's edge.
 
-Profile, cost and redundancy data are *derived* rather than recorded:
-each statement of a block executes exactly once per block entry, so
-``dynamic_cost``, ``expr_counts`` and ``steps`` are linear functions of
-the per-block execution counts, which in turn derive from per-edge
-traversal counts.  The result is a :class:`~repro.profiles.interp.RunResult`
+Profile, cost and redundancy data are *derived* rather than recorded.
+In full counting the code keeps one local counter per block entry and
+one per taken conditional arm; a generated ``_derive`` function turns
+them into the per-block and per-edge counts after the run (a false
+arm's count is its block's entries minus its taken arm's).  With a
+certified probe placement (``probes=``) only the probed blocks count,
+and the profile is reconstructed by flow conservation.  Each statement
+of a block executes exactly once per block entry, so ``dynamic_cost``
+and ``expr_counts`` are linear in the block counts.  The step budget is one local sum,
+checked lazily — at every loop header, at the entry of any block that
+can raise, before any guarded phi move, at each dispatch, and once
+after the run — which is exact because no loop and no trap lies between
+the block entry where the reference interpreter would raise and the
+next check.  The result is a :class:`~repro.profiles.interp.RunResult`
 bit-identical to the reference interpreter's (same ``dynamic_cost``,
 ``expr_counts``, ``profile``, ``steps``, observable behaviour, and the
 same :class:`~repro.profiles.interp.InterpreterError` messages), which
-``tests/profiles/test_compiled.py`` pins over the generator corpus.
+``tests/profiles/test_compiled.py`` pins over the generator corpus and
+the hard CFG shapes.
 
 Reads that might observe an undefined variable are found by a
 definite-assignment dataflow pass at compile time; only those reads pay a
@@ -43,7 +65,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.analysis.dominators import DominatorTree
+from repro.analysis.loops import LoopForest
 from repro.ir import ops as op_tables
+from repro.ir.cfg import CFG
 from repro.ir.function import Function
 from repro.ir.instructions import (
     Assign,
@@ -51,7 +76,6 @@ from repro.ir.instructions import (
     CondJump,
     Jump,
     Load,
-    Output,
     Return,
     Store,
     UnaryOp,
@@ -64,111 +88,135 @@ from repro.profiles.profile import ExecutionProfile
 #: Default step budget, matching :func:`repro.profiles.interp.run_function`.
 DEFAULT_MAX_STEPS = 2_000_000
 
+#: Structured loops nested inside one region.  CPython rejects more than
+#: 20 statically nested blocks; the region's dispatch loop takes one.
+_MAX_LOOPS = 18
+#: Indentation depth at which a block becomes a region root instead
+#: (the tokenizer rejects 100 levels; guards nest two below a block).
+_MAX_INDENT = 90
+#: Blocks emitted inside one another's code (inline arms, jump chains)
+#: before one becomes a region root: bounds the lowering's recursion.
+_MAX_NESTED = 100
 
-class _Undef:
-    """Sentinel filling every register slot before its first definition.
+#: Sentinel preset in every local whose read is guarded: the generated
+#: guards test ``value is _U``.
+_UNDEF = object()
 
-    Identity matters: the generated guards test ``value is _UNDEF``, so
-    unpickling must hand back the module singleton, never a new instance
-    (otherwise a persisted program would stop detecting undefined reads).
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<undef>"
-
-    def __reduce__(self):
-        return (_undef_singleton, ())
-
-
-def _undef_singleton() -> "_Undef":
-    return _UNDEF
-
-
-_UNDEF = _Undef()
+#: Operators lowered to an inline expression with exactly the semantics
+#: of their :data:`repro.ir.ops` handler; the rest call the handler.
+_INLINE_BINARY = {
+    "add": "({} + {})",
+    "fadd": "({} + {})",
+    "sub": "({} - {})",
+    "mul": "({} * {})",
+    "fmul": "({} * {})",
+    "and": "({} & {})",
+    "or": "({} | {})",
+    "xor": "({} ^ {})",
+    "eq": "(1 if {} == {} else 0)",
+    "ne": "(1 if {} != {} else 0)",
+    "lt": "(1 if {} < {} else 0)",
+    "le": "(1 if {} <= {} else 0)",
+    "gt": "(1 if {} > {} else 0)",
+    "ge": "(1 if {} >= {} else 0)",
+    "min": "min({}, {})",
+    "max": "max({}, {})",
+}
+_INLINE_UNARY = {"neg": "(-{})", "not": "(~{})", "abs": "abs({})"}
 
 
 @dataclass
 class CompiledProgram:
-    """A function lowered to block closures over a register file."""
+    """A function lowered to the source of one Python function."""
 
     name: str
     n_params: int
-    #: Per parameter, the register slots its value is stored into
-    #: (the versioned parameter variable and its base name, like the
-    #: reference interpreter's dual ``env`` entries).
-    param_slots: list[tuple[int, ...]]
     labels: list[str]
-    entry_index: int
     entry_has_phis: bool
-    #: One generated ``(regs, out) -> edge_id`` closure per block;
-    #: returns -1 on function return.
-    block_funcs: list
-    #: Static edge table: traversing edge ``e`` enters block
-    #: ``edge_dst[e]``; ``edge_pairs[e]`` is its (src, dst) label pair.
-    edge_dst: list[int]
+    #: Static edge table in ``_derive`` order: its (src, dst) label pair.
     edge_pairs: list[tuple[str, str]]
-    #: Per block: statements executed per entry (body + terminator).
-    steps_per_block: list[int]
     #: Per block: weighted dynamic cost charged per entry.
     cost_per_block: list[int]
-    #: Per block: the ``class_key()`` of every operator application.
-    expr_sites: list[list[tuple]]
-    #: Register file template: ``_UNDEF`` everywhere except slot 0 (the
-    #: return-value slot, preset to ``None`` for void returns).
-    template: list = field(default_factory=list, repr=False)
-    #: Declared arrays as ``(name, length, slot)``: each run materialises
-    #: the deterministic initial contents into its register slot, so runs
-    #: never share (and never re-observe) mutated memory.  Plain data —
-    #: pickles with the artifact.
-    array_slots: list = field(default_factory=list, repr=False)
-    #: Generated Python source, kept for debugging, tests — and pickling:
-    #: together with :attr:`op_keys` and :attr:`messages` it is enough to
-    #: regenerate :attr:`block_funcs`, so programs are pickle-stable
-    #: (the artifact cache of :mod:`repro.serve.store` relies on this).
+    #: Per block: ``(class_key(), multiplicity)`` of its operator
+    #: applications, in first-occurrence order.
+    expr_sites: list[list[tuple[tuple, int]]]
+    #: Declared arrays as ``(name, length)``: each run materialises the
+    #: deterministic initial contents, so runs never share (and never
+    #: re-observe) mutated memory.
+    arrays: list[tuple[str, int]] = field(default_factory=list, repr=False)
+    #: Generated Python source defining ``_run`` (and, in full counting,
+    #: ``_derive``).  Together with :attr:`op_keys` and :attr:`messages`
+    #: it is all :meth:`__setstate__` needs to regenerate the functions,
+    #: so programs are pickle-stable (the artifact cache of
+    #: :mod:`repro.serve.store` relies on this).
     source: str = field(default="", repr=False)
-    #: Operator-table keys ("b:add" / "u:neg") in ``_OPS`` index order.
+    #: Operator-table keys ("b:div" / "u:sqrti") of the called handlers,
+    #: in ``_f<k>`` index order.
     op_keys: list[str] = field(default_factory=list, repr=False)
     #: Interned error messages referenced by the generated guards.
     messages: list[str] = field(default_factory=list, repr=False)
     #: Sparse-instrumentation mode: the certified
     #: :class:`~repro.profiles.probes.placement.ProbePlacement` this
-    #: program was lowered against, or ``None`` for full counting.
-    #: In sparse mode the dispatch loop keeps **no** edge counters at
-    #: all — each probed block's generated code increments one register
-    #: (see :attr:`probe_slots`) and the full node-frequency profile is
-    #: reconstructed by flow conservation after the run.  Plain data,
-    #: pickles with the artifact.
+    #: program was lowered against, or ``None`` for full counting.  In
+    #: sparse mode only the probed blocks increment a counter and the
+    #: node-frequency profile is reconstructed by flow conservation after
+    #: the run.  Plain data, pickles with the artifact.
     probes: object = None
-    #: Per probed block: ``(label, register slot)`` of its counter.
-    probe_slots: list = field(default_factory=list, repr=False)
     #: Optional live-profiling hook: called with the derived node-
     #: frequency :class:`~collections.Counter` after every successful
     #: run.  Costs one ``is not None`` test per run when unset.  The
     #: adaptation tier (:mod:`repro.serve.adapt`) attaches its fold here
-    #: so block dispatch keeps feeding the live profile no matter which
-    #: code path executes the program.  Never pickled: a hook is runtime
+    #: so execution keeps feeding the live profile no matter which code
+    #: path executes the program.  Never pickled: a hook is runtime
     #: wiring, not artifact content.
     profile_hook: object = field(default=None, repr=False, compare=False)
+    #: ``_run(max_steps, out_append, *args, *arrays) -> (value, steps,
+    #: counters)``, regenerated from :attr:`source`; never pickled.
+    function: object = field(default=None, repr=False, compare=False)
+    #: ``_derive(*counters) -> (block counts, edge counts)`` in full
+    #: counting; ``None`` in sparse mode.  Never pickled.
+    derive: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.function is None:
+            self._load()
+
+    def _load(self) -> None:
+        """(Re)generate :attr:`function` and :attr:`derive` from source."""
+        name = self.name
+
+        def budget(limit: int) -> InterpreterError:
+            return InterpreterError(
+                f"{name}: exceeded {limit} interpreted steps"
+            )
+
+        namespace = {
+            "_U": _UNDEF,
+            "_IE": InterpreterError,
+            "_B": budget,
+            "_MSGS": self.messages,
+        }
+        for k, key in enumerate(self.op_keys):
+            namespace[f"_f{k}"] = _resolve_op(key)
+        code = compile(self.source, f"<compiled {name}>", "exec")
+        exec(code, namespace)  # noqa: S102 - self-generated trusted source
+        self.function = namespace["_run"]
+        self.derive = namespace.get("_derive")
 
     # -- pickling ------------------------------------------------------
-    # The block closures are generated code bound to op-handler defaults;
-    # they cannot be pickled, but they are a pure function of (source,
-    # op_keys, messages), so __setstate__ regenerates them.  Unpickled
-    # programs are bit-identical in behaviour, including the identity of
-    # the undefined-read sentinel (see _Undef.__reduce__).
+    # The generated functions cannot be pickled, but they are a pure
+    # function of (source, op_keys, messages), so __setstate__
+    # regenerates them: unpickled programs are bit-identical in behaviour.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["block_funcs"] = None
+        state["function"] = None
+        state["derive"] = None
         state["profile_hook"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.block_funcs = _exec_block_funcs(
-            self.source, self.op_keys, self.messages, len(self.labels)
-        )
+        self._load()
 
     def run(
         self,
@@ -184,98 +232,59 @@ class CompiledProgram:
         if self.entry_has_phis:
             raise InterpreterError("entry block must not contain phis")
 
-        regs = self.template[:]
-        for slots, value in zip(self.param_slots, args):
-            for slot in slots:
-                regs[slot] = value
-        for array_name, length, slot in self.array_slots:
-            regs[slot] = initial_array(array_name, length)
-
         out: list[int] = []
-        blocks = self.block_funcs
-        edge_dst = self.edge_dst
-        steps_of = self.steps_per_block
-        name = self.name
-        steps = 0
-        b = self.entry_index
+        value, steps, counters = self.function(
+            max_steps,
+            out.append,
+            *args,
+            *[initial_array(name, length) for name, length in self.arrays],
+        )
+        if steps > max_steps:
+            raise InterpreterError(
+                f"{self.name}: exceeded {max_steps} interpreted steps"
+            )
 
+        labels = self.labels
         if self.probes is None:
-            edge_counts = [0] * len(self.edge_dst)
-            while True:
-                # The whole block (body + terminator) runs or none of it
-                # does, so one bounds check per block entry is exact (see
-                # the same hoisting in the reference interpreter).
-                steps += steps_of[b]
-                if steps > max_steps:
-                    raise InterpreterError(
-                        f"{name}: exceeded {max_steps} interpreted steps"
-                    )
-                e = blocks[b](regs, out)
-                if e < 0:
-                    break
-                edge_counts[e] += 1
-                b = edge_dst[e]
-
-            # Derive counts: every edge traversal enters its destination
-            # once; the entry block is entered once more at start.
-            node_counts = [0] * len(self.labels)
-            node_counts[self.entry_index] = 1
-            for e, count in enumerate(edge_counts):
-                if count:
-                    node_counts[edge_dst[e]] += count
-
+            nodes, edges = self.derive(*counters)
             node_freq: Counter[str] = Counter()
-            for i, count in enumerate(node_counts):
+            for label, count in zip(labels, nodes):
                 if count:
-                    node_freq[self.labels[i]] = count
-
+                    node_freq[label] = count
             edge_freq: Counter[tuple[str, str]] = Counter()
-            for e, count in enumerate(edge_counts):
+            for pair, count in zip(self.edge_pairs, edges):
                 if count:
-                    edge_freq[self.edge_pairs[e]] += count
+                    edge_freq[pair] += count
             profile = ExecutionProfile(
                 node_freq=node_freq, edge_freq=edge_freq
             )
         else:
-            # Sparse mode: the probed blocks' generated code bumps its
-            # own counter register; the loop itself counts nothing.
-            while True:
-                steps += steps_of[b]
-                if steps > max_steps:
-                    raise InterpreterError(
-                        f"{name}: exceeded {max_steps} interpreted steps"
-                    )
-                e = blocks[b](regs, out)
-                if e < 0:
-                    break
-                b = edge_dst[e]
-
             # Local import: the probes package depends on this module's
             # RunResult, so binding at call time avoids a cycle.
             from repro.profiles.probes.reconstruct import reconstruct_profile
 
             profile = reconstruct_profile(
-                self.probes,
-                {label: regs[slot] for label, slot in self.probe_slots},
-                runs=1,
+                self.probes, dict(zip(self.probes.probes, counters)), runs=1
             )
             node_freq = profile.node_freq
+            nodes = [node_freq.get(label, 0) for label in labels]
 
         cost = 0
         expr_counts: dict[tuple, int] = {}
-        for i, label in enumerate(self.labels):
-            count = node_freq.get(label, 0)
+        for count, block_cost, sites in zip(
+            nodes, self.cost_per_block, self.expr_sites
+        ):
             if not count:
                 continue
-            cost += count * self.cost_per_block[i]
-            for key in self.expr_sites[i]:
-                expr_counts[key] = expr_counts.get(key, 0) + count
+            cost += count * block_cost
+            for key, times in sites:
+                expr_counts[key] = expr_counts.get(key, 0) + count * times
 
         if self.profile_hook is not None:
             self.profile_hook(node_freq)
 
         return RunResult(
-            return_value=regs[0],
+            return_value=value,
             output=out,
             profile=profile,
             dynamic_cost=cost,
@@ -285,60 +294,46 @@ class CompiledProgram:
 
 
 def _resolve_op(key: str):
-    """The operator handler behind a ``"b:add"`` / ``"u:neg"`` table key."""
+    """The operator handler behind a ``"b:div"`` / ``"u:sqrti"`` key."""
     kind, _, name = key.partition(":")
     table = op_tables.BINARY_OPS if kind == "b" else op_tables.UNARY_OPS
     return table[name].func
 
 
-def _exec_block_funcs(
-    source: str,
-    op_keys: list[str],
-    messages: list[str],
-    n_blocks: int,
-    name: str = "program",
-) -> list:
-    """Execute generated *source* and return its block closures in order.
+def _tuple(items: list[str]) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
 
-    Shared between first-time lowering and unpickling: the closures are a
-    pure function of the generated source plus the op/message tables, so
-    regenerating them after a round-trip through the artifact store
-    yields behaviourally identical programs.
-    """
-    namespace = {
-        "_OPS": [_resolve_op(key) for key in op_keys],
-        "_U": _UNDEF,
-        "_IE": InterpreterError,
-        "_MSGS": messages,
-    }
-    code = compile(source, f"<compiled {name}>", "exec")
-    exec(code, namespace)  # noqa: S102 - self-generated trusted source
-    return [namespace[f"_b{i}"] for i in range(n_blocks)]
+
+def _literal(value) -> str:
+    text = repr(value)
+    return f"({text})" if text.startswith("-") else text
+
+
+class _Loop:
+    """An open ``while True:`` of the structured code."""
+
+    __slots__ = ("header", "brk", "escaped")
+
+    def __init__(self, header: str, brk: str | None) -> None:
+        self.header = header
+        #: The block ``break`` reaches (code right after the loop).
+        self.brk = brk
+        #: Whether a region escape leaves through this loop.
+        self.escaped = False
 
 
 class _Codegen:
     """Lowers one function to Python source + metadata tables."""
 
     def __init__(self, func: Function, probes=None) -> None:
+        assert func.entry is not None
         self.func = func
+        self.labels = list(func.blocks)
+        self.index = {label: i for i, label in enumerate(self.labels)}
         self.slots: dict[Var, int] = {}
-        self.next_slot = 1  # slot 0 is the return-value slot
-        self.op_funcs: list = []
-        self.op_index: dict[str, int] = {}  # "b:add" / "u:neg" -> table idx
-        self.messages: list[str] = []
-        # Arrays live in dedicated register slots (a Python list each,
-        # materialised per run); declared eagerly so every declared array
-        # is initialised even when no instruction references it, matching
-        # the reference interpreter.
-        self.array_slot: dict[str, int] = {}
-        for array_name in func.arrays:
-            self.array_slot[array_name] = self.next_slot
-            self.next_slot += 1
-        # Sparse mode: one counter register per probed block, bumped by
-        # the block's own generated code (zero-initialised per run via
-        # the template, so runs never share counts).
+        self.op_index: dict[str, int] = {}
+        self.arrays = {name: f"m{i}" for i, name in enumerate(func.arrays)}
         self.probes = probes
-        self.probe_slot: dict[str, int] = {}
         if probes is not None:
             unknown = [v for v in probes.probes if v not in func.blocks]
             if unknown:
@@ -346,32 +341,99 @@ class _Codegen:
                     f"placement probes {unknown!r} are not blocks of "
                     f"{func.name!r}"
                 )
-            for label in probes.probes:
-                self.probe_slot[label] = self.next_slot
-                self.next_slot += 1
+        self._analyse_cfg()
+        self.in_sets = self._definitely_assigned()
 
     # -- tables --------------------------------------------------------
     def slot(self, var: Var) -> int:
         index = self.slots.get(var)
         if index is None:
-            index = self.next_slot
+            index = len(self.slots)
             self.slots[var] = index
-            self.next_slot += 1
         return index
 
-    def op(self, kind: str, name: str) -> int:
+    def op(self, kind: str, name: str) -> str:
         key = f"{kind}:{name}"
         index = self.op_index.get(key)
         if index is None:
-            table = op_tables.BINARY_OPS if kind == "b" else op_tables.UNARY_OPS
-            index = len(self.op_funcs)
-            self.op_funcs.append(table[name].func)
+            index = len(self.op_index)
             self.op_index[key] = index
-        return index
+        return f"_f{index}"
 
     def message(self, text: str) -> int:
         self.messages.append(text)
         return len(self.messages) - 1
+
+    # -- control-flow analysis ----------------------------------------
+    def _analyse_cfg(self) -> None:
+        func = self.func
+        cfg = CFG(func)
+        dom = DominatorTree(cfg)
+        self.dom = dom
+        self.rpo = {label: i for i, label in enumerate(dom.rpo)}
+        reach = self.rpo
+        #: Targets of retreating edges that are no back edge
+        #: (irreducible control flow): always region roots.
+        self.irreducible: set[str] = set()
+        self.forward_in: Counter[str] = Counter()
+        for label in dom.rpo:
+            for succ in func.blocks[label].terminator.successors():
+                if dom.dominates(succ, label):
+                    continue  # back edge
+                if reach[succ] <= reach[label]:
+                    self.irreducible.add(succ)
+                self.forward_in[succ] += 1
+
+        forest = LoopForest(cfg, dom)
+        #: Loop headers, each loop's parent header, each block's
+        #: innermost containing loop header (None: not in a loop).
+        self.parent = {
+            h: (loop.parent.header if loop.parent is not None else None)
+            for h, loop in forest.loops.items()
+        }
+        by_size = sorted(forest.loops.values(), key=lambda lp: -len(lp.blocks))
+        self.innermost: dict[str, str | None] = dict.fromkeys(reach)
+        for loop in by_size:
+            for label in loop.blocks:
+                if label in reach:
+                    self.innermost[label] = loop.header
+
+    def _place(self, roots: set[str]) -> None:
+        """Assign every non-root block its place in the structured code.
+
+        A dominator-tree child of ``x`` in the same loop as ``x`` goes
+        inline in ``x``'s branch arm (one incoming edge) or after
+        ``x``'s code (a join); a child outside ``x``'s loop goes after
+        the ``while`` of the outermost loop it exits.  A child that
+        fits nowhere becomes a region root.
+        """
+        self.inline: set[str] = set()
+        self.follows: dict[str, list[str]] = {}
+        self.outside: dict[str, list[str]] = {}
+        for x in self.dom.rpo:
+            own = self.innermost[x]
+            for child in self.dom.children[x]:
+                if child in roots:
+                    continue
+                home = (
+                    self.parent[child] if child in self.parent
+                    else self.innermost[child]
+                )
+                if home == own:
+                    if self.forward_in[child] == 1:
+                        self.inline.add(child)
+                    else:
+                        self.follows.setdefault(x, []).append(child)
+                    continue
+                loop = own
+                while loop is not None and self.parent[loop] != home:
+                    loop = self.parent[loop]
+                if loop is None:
+                    roots.add(child)
+                else:
+                    self.outside.setdefault(loop, []).append(child)
+        for items in self.outside.values():
+            items.sort(key=self.rpo.__getitem__)
 
     # -- definite assignment ------------------------------------------
     def _definitely_assigned(self) -> dict[str, set[int] | None]:
@@ -418,68 +480,61 @@ class _Codegen:
                     pred_out = pred_in | defs[pred]
                     meet = pred_out if meet is None else meet & pred_out
                 if meet is not None and meet != in_sets[label]:
-                    old = in_sets[label]
-                    if old is None or meet != old:
-                        in_sets[label] = meet
-                        changed = True
+                    in_sets[label] = meet
+                    changed = True
         return in_sets
+
+    # -- counting -------------------------------------------------------
+    def _counter_names(self) -> list[str]:
+        if self.probes is not None:
+            return [f"_p{self.index[v]}" for v in self.probes.probes]
+        reachable = [v for v in self.labels if v in self.rpo]
+        names = [f"_c{self.index[v]}" for v in reachable]
+        for label in reachable:
+            if isinstance(self.func.blocks[label].terminator, CondJump):
+                names.append(f"_t{self.index[label]}")
+        return names
+
+    def _derive_source(self, counters: list[str]) -> list[str]:
+        """``_derive``: block counts are the block counters; a jump edge
+        counts its source's entries, a true arm its taken counter and a
+        false arm the difference."""
+        nodes, edges = [], []
+        for label in self.labels:
+            live = label in self.rpo
+            i = self.index[label]
+            nodes.append(f"_c{i}" if live else "0")
+            term = self.func.blocks[label].terminator
+            if isinstance(term, Jump):
+                edges.append(f"_c{i}" if live else "0")
+            elif isinstance(term, CondJump):
+                edges.append(f"_t{i}" if live else "0")
+                edges.append(f"(_c{i} - _t{i})" if live else "0")
+        return [
+            f"def _derive({', '.join(counters)}):",
+            f" return {_tuple(nodes)}, {_tuple(edges)}",
+        ]
 
     # -- expression lowering ------------------------------------------
     def _read(
-        self,
-        operand: Operand,
-        defined: set[int],
-        lines: list[str],
-        indent: str,
-        gensym: list[int],
+        self, operand: Operand, defined: set[int], out: list[str], ind: str
     ) -> str:
-        """The Python expression reading *operand*; may emit guard lines."""
+        """The Python expression reading *operand*; may emit a guard."""
         if isinstance(operand, Const):
-            return repr(operand.value)
+            return _literal(operand.value)
         index = self.slot(operand)
-        if index in defined:
-            return f"r[{index}]"
-        gensym[0] += 1
-        temp = f"_g{gensym[0]}"
-        msg = self.message(
-            f"{self.func.name}: read of undefined variable {operand}"
-        )
-        lines.append(f"{indent}{temp} = r[{index}]")
-        lines.append(f"{indent}if {temp} is _U:")
-        lines.append(f"{indent}    raise _IE(_MSGS[{msg}])")
-        # Past the guard this slot is proven defined on this path.
-        defined.add(index)
-        return temp
-
-    def _phi_moves(
-        self,
-        pred_label: str,
-        succ_label: str,
-        defined: set[int],
-        lines: list[str],
-        indent: str,
-        gensym: list[int],
-    ) -> None:
-        """Parallel phi assignment along the (pred, succ) edge."""
-        phis = self.func.blocks[succ_label].phis
-        if not phis:
-            return
-        if len(phis) == 1:
-            phi = phis[0]
-            expr = self._read(phi.args[pred_label], defined, lines, indent, gensym)
-            lines.append(f"{indent}r[{self.slot(phi.target)}] = {expr}")
-            defined.add(self.slot(phi.target))
-            return
-        temps = []
-        for phi in phis:
-            expr = self._read(phi.args[pred_label], defined, lines, indent, gensym)
-            gensym[0] += 1
-            temp = f"_p{gensym[0]}"
-            lines.append(f"{indent}{temp} = {expr}")
-            temps.append(temp)
-        for phi, temp in zip(phis, temps):
-            lines.append(f"{indent}r[{self.slot(phi.target)}] = {temp}")
-            defined.add(self.slot(phi.target))
+        name = f"r{index}"
+        if index not in defined:
+            self.guarded.add(index)
+            self.traps = True
+            msg = self.message(
+                f"{self.func.name}: read of undefined variable {operand}"
+            )
+            out.append(f"{ind}if {name} is _U:")
+            out.append(f"{ind} raise _IE(_MSGS[{msg}])")
+            # Past the guard this slot is proven defined on this path.
+            defined.add(index)
+        return name
 
     def _memory_cell(
         self,
@@ -487,11 +542,10 @@ class _Codegen:
         array: str,
         index: Operand,
         defined: set[int],
-        lines: list[str],
-        indent: str,
-        gensym: list[int],
+        out: list[str],
+        ind: str,
     ) -> str:
-        """The Python lvalue/rvalue ``r[arr][idx]`` for a memory access.
+        """The Python lvalue/rvalue ``m<k>[idx]`` for a memory access.
 
         Emits the bounds guard matching the reference interpreter
         byte-for-byte (the ``%s`` template formats the runtime index; the
@@ -500,7 +554,7 @@ class _Codegen:
         it indexes directly with no guard — the compiled twin of the
         ``load_in_bounds`` refinement the optimizers use.
         """
-        aslot = self.array_slot[array]
+        cells = self.arrays[array]
         length = self.func.arrays[array]
         if (
             isinstance(index, Const)
@@ -508,202 +562,355 @@ class _Codegen:
             and not isinstance(index.value, bool)
             and 0 <= index.value < length
         ):
-            return f"r[{aslot}][{index.value!r}]"
-        expr = self._read(index, defined, lines, indent, gensym)
-        gensym[0] += 1
-        temp = f"_i{gensym[0]}"
+            return f"{cells}[{index.value!r}]"
+        expr = self._read(index, defined, out, ind)
+        self.traps = True
+        name = self.func.name.replace("%", "%%")
+        shown = repr(array).replace("%", "%%")
         msg = self.message(
-            f"{self.func.name}: {kind} index %s out of bounds "
-            f"for array {array!r} of length {length}"
+            f"{name}: {kind} index %s out of bounds "
+            f"for array {shown} of length {length}"
         )
-        lines.append(f"{indent}{temp} = {expr}")
-        lines.append(
-            f"{indent}if not (isinstance({temp}, int) "
-            f"and 0 <= {temp} < {length}):"
+        out.append(
+            f"{ind}if not (isinstance({expr}, int) and 0 <= {expr} < {length}):"
         )
-        lines.append(f"{indent}    raise _IE(_MSGS[{msg}] % ({temp},))")
-        return f"r[{aslot}][{temp}]"
+        out.append(f"{ind} raise _IE(_MSGS[{msg}] % ({expr},))")
+        return f"{cells}[{expr}]"
+
+    def _statements(self, label: str, defined: set[int], ind: str) -> list[str]:
+        """A block's body (plus its terminator's operand read) as lines."""
+        out: list[str] = []
+        for stmt in self.func.blocks[label].body:
+            if isinstance(stmt, Assign):
+                rhs = stmt.rhs
+                if isinstance(rhs, BinOp):
+                    left = self._read(rhs.left, defined, out, ind)
+                    right = self._read(rhs.right, defined, out, ind)
+                    template = _INLINE_BINARY.get(rhs.op)
+                    if template is not None:
+                        expr = template.format(left, right)
+                    else:
+                        expr = f"{self.op('b', rhs.op)}({left}, {right})"
+                elif isinstance(rhs, UnaryOp):
+                    operand = self._read(rhs.operand, defined, out, ind)
+                    template = _INLINE_UNARY.get(rhs.op)
+                    if template is not None:
+                        expr = template.format(operand)
+                    else:
+                        expr = f"{self.op('u', rhs.op)}({operand})"
+                elif isinstance(rhs, Load):
+                    expr = self._memory_cell(
+                        "load", rhs.array, rhs.index, defined, out, ind
+                    )
+                else:
+                    expr = self._read(rhs, defined, out, ind)
+                out.append(f"{ind}r{self.slot(stmt.target)} = {expr}")
+                defined.add(self.slot(stmt.target))
+            elif isinstance(stmt, Store):
+                # Mirrors the interpreter's evaluation order exactly:
+                # index read, bounds check, then the value read.
+                cell = self._memory_cell(
+                    "store", stmt.array, stmt.index, defined, out, ind
+                )
+                value = self._read(stmt.value, defined, out, ind)
+                out.append(f"{ind}{cell} = {value}")
+            else:  # Output
+                value = self._read(stmt.value, defined, out, ind)
+                out.append(f"{ind}_oa({value})")
+        return out
+
+    def _phi_moves(
+        self, pred: str, succ: str, defined: set[int], ind: str
+    ) -> tuple[list[str], bool]:
+        """Parallel phi assignment along (pred, succ); whether it guards."""
+        phis = self.func.blocks[succ].phis
+        if not phis:
+            return [], False
+        traps, self.traps = self.traps, False
+        out: list[str] = []
+        values = [self._read(phi.args[pred], defined, out, ind) for phi in phis]
+        targets = [f"r{self.slot(phi.target)}" for phi in phis]
+        out.append(f"{ind}{', '.join(targets)} = {', '.join(values)}")
+        guarded, self.traps = self.traps, traps
+        return out, guarded
+
+    # -- structured emission -------------------------------------------
+    def _flush(self, out: list[str], ind: str) -> None:
+        if self.pending:
+            out.append(f"{ind}s += {self.pending}")
+            self.pending = 0
+
+    def _check(self, out: list[str], ind: str, ahead: int = 0) -> None:
+        self._flush(out, ind)
+        bound = f"s + {ahead}" if ahead else "s"
+        out.append(f"{ind}if {bound} > _M:")
+        out.append(f"{ind} raise _B(_M)")
+
+    def _escape(self, target: str, loops: list[_Loop], out, ind: str) -> None:
+        self._flush(out, ind)
+        out.append(f"{ind}b = {self.region.get(target, -1)}")
+        if loops:
+            loops[-1].escaped = True
+            out.append(f"{ind}break")
+        else:
+            out.append(f"{ind}continue")
+
+    def _edge(self, pred, succ, defined, depth, fall, loops, out) -> None:
+        """Transfer control along (pred, succ), phi moves first."""
+        ind = " " * depth
+        moves, guarded = self._phi_moves(pred, succ, set(defined), ind)
+        if guarded:
+            # The reference interpreter checks the budget on entering
+            # *succ*, before reading its phi arguments.
+            self._check(out, ind, self.weight[succ])
+        out.extend(moves)
+        top = loops[-1] if loops else None
+        if succ in self.roots:
+            if top is not None and top.header == succ:
+                self._flush(out, ind)
+                out.append(f"{ind}continue")
+            else:
+                self._escape(succ, loops, out, ind)
+        elif succ in self.inline and self.dom.idom[succ] == pred:
+            self._tree(succ, depth, fall, loops, out)
+        elif succ == fall:
+            self._flush(out, ind)
+        elif top is not None and succ == top.header:
+            self._flush(out, ind)
+            out.append(f"{ind}continue")
+        elif top is not None and succ == top.brk:
+            self._flush(out, ind)
+            out.append(f"{ind}break")
+        else:
+            self.new_roots.add(succ)
+            self._escape(succ, loops, out, ind)
+
+    def _block(self, label, depth, fall, loops, out, header=False) -> None:
+        """One block's code: count, steps, body, terminator."""
+        self.emitted.append(label)
+        i = self.index[label]
+        ind = " " * depth
+        block = self.func.blocks[label]
+        initial = self.in_sets[label]
+        defined = set(self.slots.values()) if initial is None else set(initial)
+        for phi in block.phis:
+            defined.add(self.slot(phi.target))
+        self.traps = False
+        body = self._statements(label, defined, ind)
+        term = block.terminator
+        if isinstance(term, Return):
+            value = (
+                "None" if term.value is None
+                else self._read(term.value, defined, body, ind)
+            )
+        elif isinstance(term, CondJump):
+            cond = self._read(term.cond, defined, body, ind)
+
+        if self.probes is None:
+            out.append(f"{ind}_c{i} += 1")
+        elif label in self.probes.probe_set:
+            out.append(f"{ind}_p{i} += 1")
+        self.pending += self.weight[label]
+        if header or self.traps:
+            self._check(out, ind)
+        out.extend(body)
+
+        if isinstance(term, Return):
+            steps = f"s + {self.pending}" if self.pending else "s"
+            self.pending = 0
+            out.append(f"{ind}return {value}, {steps}, {self.counters}")
+        elif isinstance(term, Jump):
+            self._edge(label, term.target, defined, depth, fall, loops, out)
+        else:
+            pending = self.pending
+            taken: list[str] = []
+            if self.probes is None:
+                taken.append(f"{ind} _t{i} += 1")
+            self._edge(
+                label, term.true_target, defined, depth + 1, fall, loops, taken
+            )
+            self.pending = pending
+            other: list[str] = []
+            self._edge(
+                label, term.false_target, defined, depth + 1, fall, loops, other
+            )
+            self.pending = 0
+            if taken and other:
+                out.append(f"{ind}if {cond} != 0:")
+                out.extend(taken)
+                out.append(f"{ind}else:")
+                out.extend(other)
+            elif taken:
+                out.append(f"{ind}if {cond} != 0:")
+                out.extend(taken)
+            elif other:
+                out.append(f"{ind}if {cond} == 0:")
+                out.extend(other)
+
+    def _tree(self, label, depth, fall, loops, out) -> None:
+        """A block, the joins it dominates and, for a header, its loop."""
+        ind = " " * depth
+        is_header = label in self.parent
+        if (
+            depth > _MAX_INDENT
+            or self.nested >= _MAX_NESTED
+            or (is_header and len(loops) >= _MAX_LOOPS)
+        ):
+            self.new_roots.add(label)
+            self._escape(label, loops, out, ind)
+            return
+        self.nested += 1
+        follows = [c for c in self.follows.get(label, ()) if c not in self.roots]
+        if is_header:
+            self._loop(label, follows, depth, fall, loops, out)
+        else:
+            self._block(label, depth, follows[0] if follows else fall, loops, out)
+            self._items(follows, depth, fall, loops, out)
+        self.nested -= 1
+
+    def _loop(self, label, follows, depth, fall, loops, out) -> None:
+        """A loop header's ``while True:`` and the blocks after it."""
+        ind = " " * depth
+        outside = [c for c in self.outside.get(label, ()) if c not in self.roots]
+        loop = _Loop(label, outside[0] if outside else fall)
+        self._flush(out, ind)
+        out.append(f"{ind}while True:")
+        loops.append(loop)
+        self._block(
+            label, depth + 1, follows[0] if follows else label, loops, out,
+            header=True,
+        )
+        self._items(follows, depth + 1, label, loops, out)
+        loops.pop()
+        self.pending = 0
+        if loop.escaped:
+            out.append(f"{ind}if b >= 0:")
+            if loops:
+                loops[-1].escaped = True
+                out.append(f"{ind} break")
+            else:
+                out.append(f"{ind} continue")
+        self._items(outside, depth, fall, loops, out)
+
+    def _items(self, items, depth, fall, loops, out) -> None:
+        """Blocks placed one after another, each falling into the next."""
+        for k, label in enumerate(items):
+            self.pending = 0
+            nxt = items[k + 1] if k + 1 < len(items) else fall
+            self._tree(label, depth, nxt, loops, out)
+
+    def _emit(self, roots: set[str]) -> list[str]:
+        """One emission pass; adds to ``new_roots`` what did not fit."""
+        self.roots = roots
+        self.region = {
+            label: k
+            for k, label in enumerate(sorted(roots, key=self.rpo.__getitem__))
+        }
+        self.new_roots: set[str] = set()
+        self.messages: list[str] = []
+        self.guarded: set[int] = set()
+        self.emitted: list[str] = []
+        self.pending = 0
+        self.nested = 0
+        out: list[str] = []
+        if not roots:
+            self._tree(self.func.entry, 1, None, [], out)
+            return out
+        out.append(f" b = {self.region[self.func.entry]}")
+        out.append(" while True:")
+        out.append("  if s > _M:")
+        out.append("   raise _B(_M)")
+        for label, k in self.region.items():
+            out.append(f"  {'if' if k == 0 else 'elif'} b == {k}:")
+            out.append("   b = -1")
+            self.pending = 0
+            self._tree(label, 3, None, [], out)
+        return out
 
     # -- main ----------------------------------------------------------
     def compile(self) -> CompiledProgram:
         func = self.func
-        assert func.entry is not None
-        labels = list(func.blocks)
-        block_index = {label: i for i, label in enumerate(labels)}
-        in_sets = self._definitely_assigned()
+        self.weight = {
+            label: len(block.body) + 1 for label, block in func.blocks.items()
+        }
+        counter_names = self._counter_names()
+        self.counters = _tuple(counter_names)
+        roots = set(self.irreducible)
+        while True:
+            self._place(roots)
+            if roots:
+                roots.add(func.entry)
+            body = self._emit(roots)
+            if not self.new_roots:
+                break
+            roots |= self.new_roots
+        assert sorted(self.emitted) == sorted(self.rpo), (
+            "every reachable block is emitted exactly once"
+        )
 
-        edge_dst: list[int] = []
+        args = [f"a{k}" for k in range(len(func.params))]
+        arrays = list(self.arrays.values())
+        lines = [f"def _run({', '.join(['_M', '_oa', *args, *arrays])}):"]
+        for arg, param in zip(args, func.params):
+            lines.append(f" r{self.slot(param)} = {arg}")
+            if param != param.base:
+                lines.append(f" r{self.slot(param.base)} = {arg}")
+        for index in sorted(self.guarded):
+            lines.append(f" r{index} = _U")
+        for name in [*counter_names, "s"]:
+            lines.append(f" {name} = 0")
+        lines.extend(body)
+        if self.probes is None:
+            lines.append("")
+            lines.extend(self._derive_source(counter_names))
+        source = "\n".join(lines) + "\n"
+
         edge_pairs: list[tuple[str, str]] = []
-        steps_per_block: list[int] = []
         cost_per_block: list[int] = []
-        expr_sites: list[list[tuple]] = []
-        chunks: list[str] = []
-
-        def new_edge(src: str, dst: str) -> int:
-            edge_dst.append(block_index[dst])
-            edge_pairs.append((src, dst))
-            return len(edge_dst) - 1
-
-        for i, label in enumerate(labels):
+        expr_sites: list[list[tuple[tuple, int]]] = []
+        for label in self.labels:
             block = func.blocks[label]
-            gensym = [0]
-            initial = in_sets[label]
-            defined: set[int] = (
-                set(self.slots.values()) if initial is None else set(initial)
-            )
+            term = block.terminator
             cost = op_tables.PHI_COST * len(block.phis)
-            sites: list[tuple] = []
-            block_ops: set[int] = set()
-            for phi in block.phis:
-                defined.add(self.slot(phi.target))
-            body: list[str] = []
-            indent = "    "
-            probe = self.probe_slot.get(label)
-            if probe is not None:
-                body.append(f"{indent}r[{probe}] += 1")
-
+            sites: dict[tuple, int] = {}
             for stmt in block.body:
                 if isinstance(stmt, Assign):
                     rhs = stmt.rhs
                     if isinstance(rhs, BinOp):
-                        info = op_tables.BINARY_OPS[rhs.op]
-                        left = self._read(rhs.left, defined, body, indent, gensym)
-                        right = self._read(rhs.right, defined, body, indent, gensym)
-                        op_slot = self.op("b", rhs.op)
-                        block_ops.add(op_slot)
-                        handler = f"_f{op_slot}"
-                        body.append(
-                            f"{indent}r[{self.slot(stmt.target)}] = "
-                            f"{handler}({left}, {right})"
-                        )
-                        cost += info.cost
-                        sites.append(rhs.class_key())
+                        cost += op_tables.BINARY_OPS[rhs.op].cost
                     elif isinstance(rhs, UnaryOp):
-                        info = op_tables.UNARY_OPS[rhs.op]
-                        operand = self._read(
-                            rhs.operand, defined, body, indent, gensym
-                        )
-                        op_slot = self.op("u", rhs.op)
-                        block_ops.add(op_slot)
-                        handler = f"_f{op_slot}"
-                        body.append(
-                            f"{indent}r[{self.slot(stmt.target)}] = "
-                            f"{handler}({operand})"
-                        )
-                        cost += info.cost
-                        sites.append(rhs.class_key())
+                        cost += op_tables.UNARY_OPS[rhs.op].cost
                     elif isinstance(rhs, Load):
-                        cell = self._memory_cell(
-                            "load", rhs.array, rhs.index,
-                            defined, body, indent, gensym,
-                        )
-                        body.append(
-                            f"{indent}r[{self.slot(stmt.target)}] = {cell}"
-                        )
                         cost += op_tables.LOAD_COST
-                        sites.append(rhs.class_key())
                     else:
-                        expr = self._read(rhs, defined, body, indent, gensym)
-                        body.append(
-                            f"{indent}r[{self.slot(stmt.target)}] = {expr}"
-                        )
                         cost += op_tables.COPY_COST
-                    defined.add(self.slot(stmt.target))
+                        continue
+                    key = rhs.class_key()
+                    sites[key] = sites.get(key, 0) + 1
                 elif isinstance(stmt, Store):
-                    # Mirrors the interpreter's evaluation order exactly:
-                    # index read, bounds check, then the value read.
-                    cell = self._memory_cell(
-                        "store", stmt.array, stmt.index,
-                        defined, body, indent, gensym,
-                    )
-                    value = self._read(stmt.value, defined, body, indent, gensym)
-                    body.append(f"{indent}{cell} = {value}")
                     cost += op_tables.STORE_COST
-                else:  # Output
-                    expr = self._read(stmt.value, defined, body, indent, gensym)
-                    body.append(f"{indent}out.append({expr})")
+                else:
                     cost += op_tables.OUTPUT_COST
-
-            term = block.terminator
-            if isinstance(term, Return):
-                if term.value is not None:
-                    expr = self._read(term.value, defined, body, indent, gensym)
-                    body.append(f"{indent}r[0] = {expr}")
-                body.append(f"{indent}return -1")
-            elif isinstance(term, Jump):
-                self._phi_moves(label, term.target, defined, body, indent, gensym)
-                body.append(f"{indent}return {new_edge(label, term.target)}")
-            elif isinstance(term, CondJump):
+            if isinstance(term, CondJump):
                 cost += op_tables.BRANCH_COST
-                cond = self._read(term.cond, defined, body, indent, gensym)
-                body.append(f"{indent}if {cond} != 0:")
-                taken = set(defined)
-                self._phi_moves(
-                    label, term.true_target, taken, body, indent + "    ", gensym
-                )
-                body.append(
-                    f"{indent}    return {new_edge(label, term.true_target)}"
-                )
-                fallthrough = set(defined)
-                self._phi_moves(
-                    label, term.false_target, fallthrough, body, indent, gensym
-                )
-                body.append(
-                    f"{indent}return {new_edge(label, term.false_target)}"
-                )
-            else:  # pragma: no cover - verifier prevents this
-                raise InterpreterError(f"unknown terminator {term!r}")
-
-            params = "".join(f", _f{k}=_OPS[{k}]" for k in sorted(block_ops))
-            chunks.append(f"def _b{i}(r, out{params}):")
-            chunks.extend(body)
-            chunks.append("")
-
-            steps_per_block.append(len(block.body) + 1)
+            for succ in term.successors():
+                edge_pairs.append((label, succ))
             cost_per_block.append(cost)
-            expr_sites.append(sites)
+            expr_sites.append(list(sites.items()))
 
-        source = "\n".join(chunks)
-        op_keys: list[str] = [""] * len(self.op_funcs)
-        for key, index in self.op_index.items():
-            op_keys[index] = key
-        block_funcs = _exec_block_funcs(
-            source, op_keys, self.messages, len(labels), name=func.name
-        )
-
-        template: list = [_UNDEF] * (self.next_slot)
-        template[0] = None
-        for slot in self.probe_slot.values():
-            template[slot] = 0
-        param_slots = [
-            (self.slot(param), self.slot(param.base))
-            if param != param.base
-            else (self.slot(param),)
-            for param in func.params
-        ]
         return CompiledProgram(
             name=func.name,
             n_params=len(func.params),
-            param_slots=param_slots,
-            labels=labels,
-            entry_index=block_index[func.entry],
+            labels=self.labels,
             entry_has_phis=bool(func.blocks[func.entry].phis),
-            block_funcs=block_funcs,
-            edge_dst=edge_dst,
             edge_pairs=edge_pairs,
-            steps_per_block=steps_per_block,
             cost_per_block=cost_per_block,
             expr_sites=expr_sites,
-            template=template,
-            array_slots=[
-                (array_name, length, self.array_slot[array_name])
-                for array_name, length in func.arrays.items()
-            ],
+            arrays=list(func.arrays.items()),
             source=source,
-            op_keys=op_keys,
+            op_keys=list(self.op_index),
             messages=self.messages,
             probes=self.probes,
-            probe_slots=sorted(self.probe_slot.items(), key=lambda kv: kv[1]),
         )
 
 
@@ -713,8 +920,7 @@ def compile_function(func: Function, probes=None) -> CompiledProgram:
     With *probes* (a certified
     :class:`~repro.profiles.probes.placement.ProbePlacement` for this
     function) the program is lowered in sparse-instrumentation mode:
-    only the probed blocks carry a counter increment, the dispatch loop
-    drops its per-edge counting entirely, and the profile is
+    only the probed blocks carry a counter increment, and the profile is
     reconstructed by flow conservation after each run — node
     frequencies bit-identical to full counting.
     """

@@ -3,7 +3,7 @@
 The unit of storage is an :class:`Artifact` — everything one compile
 produced that later requests can reuse: the optimised function, its
 lowered :class:`~repro.profiles.compiled.CompiledProgram` (pickle-stable
-since the program regenerates its closures from source on load), and the
+since the program regenerates its function from source on load), and the
 artifact-safe :class:`~repro.passes.manager.PassReport` summary.
 
 Tiers:
@@ -43,7 +43,10 @@ from repro.profiles.compiled import CompiledProgram
 #:    kept as the drift baseline for the adaptation tier).
 #: 3: ``profiling`` (the instrumentation mode the served program was
 #:    lowered in: "full" counting or minimum-coverage "probes").
-ARTIFACT_SCHEMA = 3
+#: 4: :class:`~repro.profiles.compiled.CompiledProgram` lowers each
+#:    function to one generated Python function (its pickled fields
+#:    changed with it).
+ARTIFACT_SCHEMA = 4
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -242,7 +245,9 @@ class ArtifactStore:
         memory: MemoryStore | None = None,
         disk: DiskStore | None = None,
     ) -> None:
-        self.memory = memory or MemoryStore()
+        # ``is None``, not ``or``: an empty MemoryStore is falsy (it
+        # defines __len__), and a caller's bounded tier must be kept.
+        self.memory = MemoryStore() if memory is None else memory
         self.disk = disk
 
     @classmethod

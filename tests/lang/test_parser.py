@@ -347,3 +347,36 @@ class TestStructuralRoundTrip:
         run_mc_ssapre(ssa, train.profile.nodes_only())
         reparsed = parse_function(format_function(ssa))
         assert structural_diff(ssa, reparsed) == []
+
+
+class TestSuiteRoundTrip:
+    """Every named suite program — hyphenated names included — prints
+    to text that parses back to the same function, and serves from that
+    text with the reference interpreter's answer."""
+
+    def test_every_suite_program_round_trips_and_serves(self):
+        from repro.bench.workloads import (
+            ALL_BENCHMARKS,
+            COMPOSITE,
+            MEMORY,
+            load_suite,
+        )
+        from repro.ir.structural import structural_diff
+        from repro.pipeline import prepare
+        from repro.profiles.interp import run_function
+        from repro.serve.server import CompileRequest, CompileService
+
+        names = ALL_BENCHMARKS + MEMORY + COMPOSITE
+        assert any("-" in name for name in names)
+        with CompileService(max_workers=1) as service:
+            for workload in load_suite(names):
+                func = workload.program.func
+                text = format_function(func)
+                assert structural_diff(func, parse_function(text)) == []
+                response = service.handle(CompileRequest(
+                    source=text, args=tuple(workload.train_args),
+                    variant="none",
+                ))
+                expected = run_function(prepare(func), workload.train_args)
+                assert response.status == "ok", (workload.name, response.error)
+                assert response.observable() == expected.observable()

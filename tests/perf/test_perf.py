@@ -24,11 +24,12 @@ import pytest
 #: added the "memory" section (array-workload suite + the pinned
 #: speculative-hoist/aliased-blocked pair); v8 added the "profiling"
 #: section (minimum-coverage probe placement + the profile-quality
-#: study) and the ``--only`` section filter.
+#: study) and the ``--only`` section filter; v9 replaced the top-level
+#: "quick"/"repeat" with per-section "section_runs".
 BENCH_KEYS = {
-    "schema", "quick", "repeat", "solver", "python", "platform",
+    "schema", "solver", "python", "platform",
     "execution", "compile", "memory", "iterative", "solver_scaling",
-    "serving", "maxflow", "profiling", "ok", "wall_time_s",
+    "serving", "maxflow", "profiling", "section_runs", "ok", "wall_time_s",
 }
 PROFILING_KEYS = {
     "workloads", "fallbacks", "total_full_events", "total_probe_events",
@@ -106,7 +107,7 @@ class TestCli:
         assert rc == 0
         assert set(data) == BENCH_KEYS
         assert data["schema"] == BENCH_SCHEMA_VERSION
-        assert data["quick"] is True
+        assert all(run["quick"] for run in data["section_runs"].values())
         assert data["ok"] is True
 
     def test_execution_section(self, bench):
@@ -312,6 +313,27 @@ class TestCli:
         assert "profiling" in data
         assert "execution" not in data and "serving" not in data
         assert data["ok"] is True
+
+    def test_only_merges_into_the_existing_record(self, tmp_path):
+        out = tmp_path / "BENCH.json"
+        assert main([
+            "--quick", "--repeat", "1", "--only", "execution",
+            "--out", str(out),
+        ]) == 0
+        before = json.loads(out.read_text())
+        rc = main([
+            "--quick", "--repeat", "1", "--only", "profiling",
+            "--out", str(out),
+        ])
+        after = json.loads(out.read_text())
+        assert rc == 0
+        assert after["execution"] == before["execution"]
+        assert after["profiling"]["ok"] is True
+        assert after["section_runs"] == {
+            "execution": {"quick": True, "repeat": 1},
+            "profiling": {"quick": True, "repeat": 1},
+        }
+        assert after["ok"] is True
 
     def test_json_flag_prints_payload(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"

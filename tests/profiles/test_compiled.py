@@ -9,6 +9,8 @@ operators enabled, so this is the tier-1 pin of the differential test
 the check driver runs at scale.
 """
 
+import pickle
+
 import pytest
 
 from repro.bench.generator import generate_program
@@ -229,3 +231,316 @@ class TestCaching:
         after = run_compiled(straightline, [2, 3], cache=cache)
         assert cache.peek(COMPILED_ANALYSIS) is not first
         assert_bit_identical(before, after)
+
+
+# -- hard CFG shapes ----------------------------------------------------------
+# Each shape runs through every form a lowered program takes in
+# production: full counting and certified-probe counting, freshly lowered
+# and after a pickle round-trip, with and without a live-profiling hook.
+
+
+def _two_entry_loop():
+    # The entry branches into both blocks of the cycle a <-> b, so neither
+    # dominates the other: the CFG is irreducible.
+    b = FunctionBuilder("twoentry", params=["p", "n"])
+    b.block("entry")
+    b.copy("x", 0)
+    b.assign("c", "and", "p", 1)
+    b.branch("c", "a", "b")
+    b.block("a")
+    b.assign("x", "add", "x", 3)
+    b.output("x")
+    b.assign("t", "lt", "x", "n")
+    b.branch("t", "b", "done")
+    b.block("b")
+    b.assign("x", "mul", "x", 2)
+    b.assign("x", "add", "x", 1)
+    b.assign("t", "lt", "x", "n")
+    b.branch("t", "a", "done")
+    b.block("done")
+    b.ret("x")
+    return b.build()
+
+
+DEEP = 24
+
+
+def _deep_nest():
+    # DEEP nested counted loops; the outermost and innermost run p times,
+    # the rest once — past CPython's 20 statically nested blocks.
+    b = FunctionBuilder("deep", params=["p"])
+    b.block("entry")
+    b.copy("acc", 0)
+    for d in range(DEEP):
+        b.copy(f"i{d}", 0)
+        b.jump(f"h{d}")
+        b.block(f"h{d}")
+        bound = "p" if d in (0, DEEP - 1) else 1
+        b.assign(f"c{d}", "lt", f"i{d}", bound)
+        b.branch(f"c{d}", f"b{d}", f"x{d}")
+        b.block(f"b{d}")
+    b.assign("acc", "add", "acc", "p")
+    b.output("acc")
+    for d in reversed(range(DEEP)):
+        b.assign(f"i{d}", "add", f"i{d}", 1)
+        b.jump(f"h{d}")
+        b.block(f"x{d}")
+    b.ret("acc")
+    return b.build()
+
+
+BRANCHY = 130
+
+
+def _deep_branches():
+    # BRANCHY branches nested in each other's taken arm: more indentation
+    # levels than Python's tokenizer accepts (100).
+    b = FunctionBuilder("branchy", params=["p"])
+    b.block("entry")
+    b.copy("x", 0)
+    for d in range(BRANCHY):
+        b.assign(f"c{d}", "gt", "p", d)
+        b.branch(f"c{d}", f"t{d}", f"j{d}")
+        b.block(f"t{d}")
+        b.assign("x", "add", "x", d)
+    for d in reversed(range(BRANCHY)):
+        b.jump(f"j{d}")
+        b.block(f"j{d}")
+        b.output("x")
+    b.ret("x")
+    return b.build()
+
+
+CHAIN = 400
+
+
+def _jump_chain():
+    # CHAIN blocks each jumping to the next: every one goes inline in its
+    # predecessor's code, deeper than the lowering may recurse.
+    b = FunctionBuilder("chain", params=["p"])
+    b.block("entry")
+    b.copy("x", "p")
+    for k in range(CHAIN):
+        b.jump(f"k{k}")
+        b.block(f"k{k}")
+        b.assign("x", "add", "x", k)
+    b.output("x")
+    b.ret("x")
+    return b.build()
+
+
+WIDE = 320
+
+
+def _many_registers():
+    b = FunctionBuilder("wide", params=["p"])
+    b.block("entry")
+    b.copy("v0", "p")
+    for k in range(1, WIDE):
+        b.assign(f"v{k}", "add", f"v{k - 1}", k)
+    b.copy("i", 0)
+    b.copy("acc", 0)
+    b.jump("head")
+    b.block("head")
+    b.assign("c", "lt", "i", 3)
+    b.branch("c", "body", "done")
+    b.block("body")
+    for k in range(0, WIDE, 7):
+        b.assign("acc", "xor", "acc", f"v{k}")
+    b.assign("i", "add", "i", 1)
+    b.jump("head")
+    b.block("done")
+    b.output("acc")
+    b.ret(f"v{WIDE - 1}")
+    return b.build()
+
+
+def _budget_before_trap():
+    # n trips round a loop, then a load whose index (a parameter) may be
+    # out of bounds: the budget can run out on entering the load's block.
+    b = FunctionBuilder("budgettrap", params=["i", "n"])
+    b.array("A", 4)
+    b.block("entry")
+    b.copy("k", 0)
+    b.jump("head")
+    b.block("head")
+    b.assign("k", "add", "k", 1)
+    b.assign("c", "lt", "k", "n")
+    b.branch("c", "head", "probe")
+    b.block("probe")
+    b.load("x", "A", "i")
+    b.ret("x")
+    return b.build()
+
+
+def _false_arm_loop():
+    # The loop body sits on the header's false arm: the header's count is
+    # reached only through a jump and a false-arm edge.
+    b = FunctionBuilder("falsearm", params=["n"])
+    b.block("entry")
+    b.copy("i", 0)
+    b.jump("head")
+    b.block("head")
+    b.assign("c", "ge", "i", "n")
+    b.branch("c", "exit", "body")
+    b.block("body")
+    b.assign("i", "add", "i", 1)
+    b.output("i")
+    b.jump("head")
+    b.block("exit")
+    b.ret("i")
+    return b.build()
+
+
+def _inverted_do_while():
+    # A do-while whose latch leaves on its true arm and loops back on its
+    # false arm.
+    b = FunctionBuilder("dowhile", params=["n"])
+    b.block("entry")
+    b.copy("i", 0)
+    b.jump("head")
+    b.block("head")
+    b.assign("i", "add", "i", 1)
+    b.assign("c", "ge", "i", "n")
+    b.branch("c", "exit", "head")
+    b.block("exit")
+    b.output("i")
+    b.ret("i")
+    return b.build()
+
+
+def _outcome(run, args, budget):
+    try:
+        return "ok", run(args, budget)
+    except InterpreterError as exc:
+        return "raise", str(exc)
+
+
+def _assert_engines_match(func, cases):
+    """Every production form of *func*'s lowering against the reference."""
+    from repro.profiles.probes import place_probes
+
+    full = compile_function(func)
+    programs = {"full": full, "probes": compile_function(
+        func, probes=place_probes(func)
+    )}
+    for mode, program in list(programs.items()):
+        programs[f"{mode}-pickled"] = pickle.loads(pickle.dumps(program))
+    for mode, program in programs.items():
+        for hooked in (False, True):
+            seen = []
+            program.profile_hook = seen.append if hooked else None
+            for args, budget in cases:
+                ref = _outcome(
+                    lambda a, m: run_function(func, a, max_steps=m), args, budget
+                )
+                got = _outcome(
+                    lambda a, m: program.run(a, max_steps=m), args, budget
+                )
+                assert got[0] == ref[0], (mode, args, budget, got, ref)
+                if ref[0] == "raise":
+                    assert got[1] == ref[1], (mode, args, budget)
+                    continue
+                ref, got = ref[1], got[1]
+                if mode.startswith("full"):
+                    assert_bit_identical(ref, got)
+                else:
+                    assert got.observable() == ref.observable()
+                    assert dict(got.profile.node_freq) == dict(
+                        ref.profile.node_freq
+                    )
+                    assert got.dynamic_cost == ref.dynamic_cost
+                    assert dict(got.expr_counts) == dict(ref.expr_counts)
+                    assert got.steps == ref.steps
+                if hooked:
+                    assert dict(seen.pop()) == dict(ref.profile.node_freq)
+            assert not seen
+            program.profile_hook = None
+
+
+class TestHardShapes:
+    def test_irreducible_two_entry_loop(self):
+        func = _two_entry_loop()
+        cases = [([p, n], MAX_STEPS) for p in (0, 1) for n in (0, 5, 40)]
+        cases += [([1, 40], budget) for budget in range(1, 40)]
+        _assert_engines_match(func, cases)
+        # The cycle has no dominating header, so it runs on the in-frame
+        # block-state loop.
+        assert "b = " in compile_function(func).source
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_loop_nest_deeper_than_python_allows(self, prepared):
+        func = _deep_nest()
+        if prepared:
+            func = prepare(func)
+        cases = [([p], MAX_STEPS) for p in (0, 1, 3)]
+        cases += [([2], budget) for budget in (1, 30, 100, 150, 200)]
+        _assert_engines_match(func, cases)
+        program = compile_function(func)
+        assert program.source.count("while True:") > 20
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_branch_nest_deeper_than_python_allows(self, prepared):
+        func = _deep_branches()
+        if prepared:
+            func = prepare(func)
+        cases = [([p], MAX_STEPS) for p in (0, 7, BRANCHY + 1)]
+        cases += [([BRANCHY], budget) for budget in (50, 200, 400)]
+        _assert_engines_match(func, cases)
+
+    def test_jump_chain_longer_than_the_lowering_recursion(self):
+        cases = [([3], MAX_STEPS)] + [([3], budget) for budget in (50, 400)]
+        _assert_engines_match(_jump_chain(), cases)
+
+    def test_more_than_300_registers(self):
+        func = _many_registers()
+        cases = [([p], MAX_STEPS) for p in (0, 7, -3)]
+        cases += [([7], budget) for budget in (WIDE - 1, WIDE + 5, WIDE + 60)]
+        _assert_engines_match(func, cases)
+
+    def test_loop_body_on_the_false_arm(self):
+        cases = [([n], MAX_STEPS) for n in (-1, 0, 1, 6)]
+        cases += [([6], budget) for budget in range(1, 30)]
+        _assert_engines_match(_false_arm_loop(), cases)
+
+    def test_do_while_looping_on_the_false_arm(self):
+        cases = [([n], MAX_STEPS) for n in (-1, 0, 1, 6)]
+        cases += [([6], budget) for budget in range(1, 25)]
+        _assert_engines_match(_inverted_do_while(), cases)
+
+    def test_budget_runs_out_just_before_out_of_bounds_load(self):
+        func = _budget_before_trap()
+        n = 5
+        # entry (2 steps) + n trips round head (3 steps each): the next
+        # block entry — the trapping load's — is where a budget of
+        # exactly that many steps runs out.
+        before_load = 2 + 3 * n
+        with pytest.raises(InterpreterError) as ref_exc:
+            run_function(func, [9, n], max_steps=before_load)
+        assert str(ref_exc.value) == (
+            f"budgettrap: exceeded {before_load} interpreted steps"
+        )
+        cases = [([9, n], budget) for budget in range(1, before_load + 4)]
+        cases += [([i, n], MAX_STEPS) for i in (-1, 0, 3, 4)]
+        _assert_engines_match(func, cases)
+
+
+class TestInlineOperators:
+    def test_inline_expressions_match_their_handlers(self):
+        from repro.ir import ops
+        from repro.profiles.compiled import _INLINE_BINARY, _INLINE_UNARY
+
+        values = [0, 1, -1, 7, -13, 1 << 40, -(1 << 63)]
+        for name, template in _INLINE_BINARY.items():
+            inline = eval(f"lambda a, b: {template.format('a', 'b')}")
+            handler = ops.BINARY_OPS[name].func
+            for a in values:
+                for b in values:
+                    got, want = inline(a, b), handler(a, b)
+                    assert (type(got), got) == (type(want), want), name
+        for name, template in _INLINE_UNARY.items():
+            inline = eval(f"lambda a: {template.format('a')}")
+            handler = ops.UNARY_OPS[name].func
+            for a in values:
+                got, want = inline(a), handler(a)
+                assert (type(got), got) == (type(want), want), name

@@ -158,6 +158,81 @@ class TestArtifactStore:
         assert fresh.disk_corrupt == 1
 
 
+    def test_with_disk_honours_a_bounded_memory_tier(self, tmp_path):
+        # An empty bounded LRU is falsy (MemoryStore defines __len__); the
+        # facade must keep it rather than swap in the 256-entry default.
+        pairs = _three_artifacts()
+        store = ArtifactStore.with_disk(tmp_path, max_entries=2)
+        assert store.memory.max_entries == 2
+        assert store.put(*pairs[0]) == []
+        assert store.put(*pairs[1]) == []
+        assert store.put(*pairs[2]) == [pairs[0][0]]
+        assert store.evictions == 1
+        assert len(store.memory) == 2
+        got, tier = store.get(pairs[0][0])
+        assert tier == "disk"
+        assert got.key == pairs[0][0]
+
+
+class TestSchemaUpgrade:
+    def test_schema_3_file_is_quarantined_and_recompiled(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.ir.printer import format_function
+        from repro.pipeline import prepare
+        from repro.profiles.compiled import CompiledProgram
+        from repro.profiles.interp import run_function
+        from repro.serve.server import CompileRequest, CompileService
+
+        request = CompileRequest(
+            source=format_function(build_while_loop()),
+            args=(2, 3, 5),
+            variant="ssapre",
+        )
+        with CompileService(store=ArtifactStore.with_disk(tmp_path)) as svc:
+            first = svc.handle(request)
+            artifact, _ = svc.store.get(first.key)
+        assert first.served_by == "compile"
+
+        # Rewrite the entry the way a schema-3 build wrote it: the old
+        # block-closure program layout under the old schema number.
+        def old_layout(program):
+            return {
+                "name": program.name,
+                "n_params": program.n_params,
+                "labels": program.labels,
+                "block_funcs": None,
+                "edge_dst": [],
+                "steps_per_block": [1] * len(program.labels),
+                "source": "def _b0(r, out):\n    return -1\n",
+                "op_keys": [],
+                "messages": [],
+            }
+
+        monkeypatch.setattr(CompiledProgram, "__getstate__", old_layout)
+        artifact.schema = 3
+        path = DiskStore(tmp_path).path(first.key)
+        path.write_bytes(pickle.dumps(artifact))
+        monkeypatch.undo()
+
+        with CompileService(store=ArtifactStore.with_disk(tmp_path)) as svc:
+            second = svc.handle(request)
+            assert svc.store.disk_corrupt == 1
+            assert svc.metrics.get("disk_corrupt") == 1
+        assert second.status == "ok"
+        assert second.served_by == "compile"
+        expected = run_function(prepare(build_while_loop()), [2, 3, 5])
+        assert second.observable() == expected.observable()
+        assert path.with_suffix(".corrupt").exists()
+
+        # The recompiled artifact replaced the quarantined one on disk.
+        with CompileService(store=ArtifactStore.with_disk(tmp_path)) as svc:
+            third = svc.handle(request)
+            assert svc.store.disk_corrupt == 0
+        assert third.served_by == "disk"
+        assert third.observable() == expected.observable()
+
+
 class TestMultiprocessWrites:
     """The disk tier under the cluster's write pattern: several worker
     *processes* storing the same keys concurrently.  Atomic-rename puts
