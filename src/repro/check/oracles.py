@@ -428,14 +428,43 @@ def _run_fingerprint(artifact, args: list[int], max_steps: int) -> tuple:
     )
 
 
+def stale_bytecode_copy(obj):
+    """*obj* re-pickled with a stale bytecode tag on its compiled programs.
+
+    Every :class:`~repro.profiles.compiled.CompiledProgram` in *obj* is
+    pickled as if by an interpreter with another bytecode magic number,
+    so unpickling regenerates its functions from the stored source: the
+    load path a cache written by another Python version takes.
+    """
+    import copyreg
+    import io
+    import pickle
+
+    from repro.profiles.compiled import CompiledProgram
+
+    class StalePickler(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value) is not CompiledProgram:
+                return NotImplemented
+            state = value.__getstate__()
+            state["bytecode"] = (b"stale", state["bytecode"][1])
+            return copyreg.__newobj__, (CompiledProgram,), state
+
+    buf = io.BytesIO()
+    StalePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return pickle.loads(buf.getvalue())
+
+
 def cache_consistency_oracle(case: CheckCase) -> OracleReport:
     """Warm-cache answers are bit-identical to cold compiles.
 
     Builds the serving artifact cold, round-trips it through a real
     two-tier :class:`~repro.serve.store.ArtifactStore` (memory hit, then
-    a fresh store over the same directory forcing the disk/pickle path),
+    a fresh store over the same directory forcing the disk/pickle path,
+    which loads the marshalled bytecode), re-pickles the disk hit with a
+    stale bytecode tag (forcing regeneration from the stored source),
     rebuilds it cold a second time under the same content address, and
-    requires all four to run identically on every case input.
+    requires all five to run identically on every case input.
     """
     import shutil
     import tempfile
@@ -485,6 +514,7 @@ def cache_consistency_oracle(case: CheckCase) -> OracleReport:
                 f"stored artifact missed the disk tier (tier={disk_tier!r})",
             )
             return report
+        from_source = stale_bytecode_copy(warm_disk)
         recompiled = build_artifact(
             case.prepared, config, key=key, train_args=train_args,
             max_steps=case.max_steps,
@@ -494,6 +524,7 @@ def cache_consistency_oracle(case: CheckCase) -> OracleReport:
             for source, artifact in (
                 ("memory-hit", warm_memory),
                 ("disk-hit", warm_disk),
+                ("disk-hit-source", from_source),
                 ("recompile", recompiled),
             ):
                 report.checks += 1

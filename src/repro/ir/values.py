@@ -21,6 +21,9 @@ class Const:
 
     value: int
 
+    def __reduce__(self):
+        return Const, (self.value,)
+
     def __str__(self) -> str:
         return str(self.value)
 
@@ -38,6 +41,13 @@ class Var:
 
     name: str
     version: int | None = None
+
+    # Pickle through the constructor (Const does the same): the default
+    # for a frozen slotted dataclass restores each field through
+    # ``dataclasses.fields()`` per object, which dominates unpickling a
+    # cached artifact's IR.
+    def __reduce__(self):
+        return Var, (self.name, self.version)
 
     def with_version(self, version: int) -> "Var":
         """Return this variable carrying the given SSA version."""

@@ -10,6 +10,7 @@ shared machine).
 
 from __future__ import annotations
 
+import gc
 import platform
 import time
 from collections import Counter
@@ -106,10 +107,15 @@ def _best_of(repeat: int, fn) -> tuple[float, object]:
     measured under.  Mixing the minimum time with another repeat's report
     is how BENCH.json once showed 3.19s of mc-ssapre inside a 2.97s
     compile total.
+
+    Each call starts after a full collection, so a collection owed by
+    earlier work (a large heap, as in a long test session) is not charged
+    to a call of a few milliseconds.
     """
     best = float("inf")
     best_result = None
     for _ in range(max(1, repeat)):
+        gc.collect()
         t0 = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - t0

@@ -62,8 +62,11 @@ unmutated function compile exactly once.
 
 from __future__ import annotations
 
+import marshal
+import types
 from collections import Counter
 from dataclasses import dataclass, field
+from importlib.util import MAGIC_NUMBER
 
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import LoopForest
@@ -146,9 +149,10 @@ class CompiledProgram:
     arrays: list[tuple[str, int]] = field(default_factory=list, repr=False)
     #: Generated Python source defining ``_run`` (and, in full counting,
     #: ``_derive``).  Together with :attr:`op_keys` and :attr:`messages`
-    #: it is all :meth:`__setstate__` needs to regenerate the functions,
-    #: so programs are pickle-stable (the artifact cache of
-    #: :mod:`repro.serve.store` relies on this).
+    #: it is all :meth:`_load` needs to regenerate the functions, so it is
+    #: the portable truth a pickle carries next to the bytecode (see
+    #: "pickling" below; the artifact cache of :mod:`repro.serve.store`
+    #: relies on this).
     source: str = field(default="", repr=False)
     #: Operator-table keys ("b:div" / "u:sqrti") of the called handlers,
     #: in ``_f<k>`` index order.
@@ -171,18 +175,19 @@ class CompiledProgram:
     #: wiring, not artifact content.
     profile_hook: object = field(default=None, repr=False, compare=False)
     #: ``_run(max_steps, out_append, *args, *arrays) -> (value, steps,
-    #: counters)``, regenerated from :attr:`source`; never pickled.
+    #: counters)``, generated from :attr:`source`.  Pickled as its code
+    #: object only (see "pickling" below).
     function: object = field(default=None, repr=False, compare=False)
     #: ``_derive(*counters) -> (block counts, edge counts)`` in full
-    #: counting; ``None`` in sparse mode.  Never pickled.
+    #: counting; ``None`` in sparse mode.  Pickled like :attr:`function`.
     derive: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.function is None:
             self._load()
 
-    def _load(self) -> None:
-        """(Re)generate :attr:`function` and :attr:`derive` from source."""
+    def _namespace(self) -> dict:
+        """The globals the generated functions run in."""
         name = self.name
 
         def budget(limit: int) -> InterpreterError:
@@ -198,24 +203,54 @@ class CompiledProgram:
         }
         for k, key in enumerate(self.op_keys):
             namespace[f"_f{k}"] = _resolve_op(key)
-        code = compile(self.source, f"<compiled {name}>", "exec")
+        return namespace
+
+    def _load(self) -> None:
+        """(Re)generate :attr:`function` and :attr:`derive` from source."""
+        namespace = self._namespace()
+        code = compile(self.source, f"<compiled {self.name}>", "exec")
         exec(code, namespace)  # noqa: S102 - self-generated trusted source
         self.function = namespace["_run"]
         self.derive = namespace.get("_derive")
 
     # -- pickling ------------------------------------------------------
-    # The generated functions cannot be pickled, but they are a pure
-    # function of (source, op_keys, messages), so __setstate__
-    # regenerates them: unpickled programs are bit-identical in behaviour.
+    # Functions do not pickle, but their code objects marshal.  A pickle
+    # carries the marshalled code of ``_run`` and ``_derive`` tagged with
+    # the interpreter's bytecode magic number, so unpickling under the
+    # same interpreter rebuilds both functions over a fresh namespace
+    # without compiling (unmarshalling costs a small fraction of compile()).
+    # Under another interpreter, or if the bytes do not unmarshal, the
+    # functions are regenerated from :attr:`source` instead.  Either way
+    # the live program holds no copy of the bytes or code objects beyond
+    # its two functions.  Bytecode is executable: whoever can write a
+    # pickle can run code here, so a pickle is exactly as trusted as the
+    # code that wrote it (the artifact store checks a digest on read).
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["function"] = None
         state["derive"] = None
         state["profile_hook"] = None
+        derive = None if self.derive is None else self.derive.__code__
+        state["bytecode"] = (
+            MAGIC_NUMBER,
+            marshal.dumps((self.function.__code__, derive)),
+        )
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        magic, blob = self.__dict__.pop("bytecode", (None, None))
+        if magic == MAGIC_NUMBER:
+            try:
+                run_code, derive_code = marshal.loads(blob)
+            except (EOFError, ValueError, TypeError):
+                pass  # unreadable bytecode: regenerate from source
+            else:
+                namespace = self._namespace()
+                self.function = types.FunctionType(run_code, namespace)
+                if derive_code is not None:
+                    self.derive = types.FunctionType(derive_code, namespace)
+                return
         self._load()
 
     def run(

@@ -2,29 +2,37 @@
 
 The unit of storage is an :class:`Artifact` — everything one compile
 produced that later requests can reuse: the optimised function, its
-lowered :class:`~repro.profiles.compiled.CompiledProgram` (pickle-stable
-since the program regenerates its function from source on load), and the
-artifact-safe :class:`~repro.passes.manager.PassReport` summary.
+lowered :class:`~repro.profiles.compiled.CompiledProgram` (pickled with
+the marshalled bytecode of its generated functions, so a load never
+recompiles, and with the generated source to regenerate from under
+another interpreter), and the artifact-safe
+:class:`~repro.passes.manager.PassReport` summary.
 
 Tiers:
 
 * :class:`MemoryStore` — a bounded LRU (entry count *and* approximate
   bytes).  Hot keys stay resident; eviction order is pinned by
   ``tests/serve/test_store.py``.
-* :class:`DiskStore` — one pickle file per key under a sharded
-  directory, written via temp-file + :func:`os.replace` so readers can
-  never observe a torn artifact, and read through a corruption-tolerant
-  loader: any unreadable file (truncated, garbage, wrong schema) counts
-  as a miss, is quarantined out of the way, and the artifact is simply
-  recompiled — a cache must never turn a bad disk into a wrong answer.
+* :class:`DiskStore` — one file per key under a sharded directory:
+  a short header (format and schema), a BLAKE2b digest of the payload,
+  then the pickled artifact.  Files are written via temp-file +
+  :func:`os.replace` so readers can never observe a torn artifact, and
+  read through a corruption-tolerant loader: the digest is checked
+  *before* anything is unpickled, and any unreadable file (truncated,
+  flipped bits, garbage, wrong schema) counts as a miss, is quarantined
+  out of the way, and the artifact is simply recompiled — a cache must
+  never turn a bad disk into a wrong answer.  The digest catches
+  accidents, not attackers: a cache directory holds executable bytecode
+  and is exactly as trusted as the code that serves from it.
 * :class:`ArtifactStore` — the two-tier facade the server talks to:
   memory first, then disk (promoting hits into memory), writes go to
-  both.
+  both.  Each artifact is pickled once: a disk-backed put writes the
+  bytes it measured, and a disk hit's size is the payload it read.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
 import os
 import pickle
 import tempfile
@@ -46,7 +54,9 @@ from repro.profiles.compiled import CompiledProgram
 #: 4: :class:`~repro.profiles.compiled.CompiledProgram` lowers each
 #:    function to one generated Python function (its pickled fields
 #:    changed with it).
-ARTIFACT_SCHEMA = 4
+#: 5: programs pickle their marshalled bytecode, and disk files frame
+#:    the pickle with a header and a digest (see :class:`DiskStore`).
+ARTIFACT_SCHEMA = 5
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -89,26 +99,34 @@ class Artifact:
     #: it is deliberately absent from the artifact key.
     profiling: str = "full"
     schema: int = ARTIFACT_SCHEMA
-    #: Pickled size in bytes; computed on first use (see ``nbytes``).
+    #: Pickled size in bytes (see ``nbytes``).
     _nbytes: int | None = field(default=None, repr=False, compare=False)
 
     def nbytes(self) -> int:
         """Approximate in-memory footprint: the pickled size.
 
-        Computed once and cached — artifacts are immutable after
-        construction.  Pickling is also exactly what the disk tier does,
-        so the two tiers account size identically.
+        Artifacts are immutable after construction, so the size is
+        known once the artifact has been pickled: :meth:`DiskStore.put`
+        records the length of the payload it writes and
+        :meth:`DiskStore.get` the length of the payload it read.  Only
+        an artifact that never met the disk tier pickles here, once.
+        The two tiers account size identically.
         """
         if self._nbytes is None:
-            buf = io.BytesIO()
-            pickle.dump(self, buf, protocol=pickle.HIGHEST_PROTOCOL)
-            self._nbytes = buf.tell()
+            _dumps(self)
         return self._nbytes
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_nbytes"] = None  # recomputed lazily on the other side
+        state["_nbytes"] = None  # set by whoever reads the payload
         return state
+
+
+def _dumps(artifact: Artifact) -> bytes:
+    """Pickle *artifact*, recording the payload's length as its size."""
+    payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+    artifact._nbytes = len(payload)
+    return payload
 
 
 class MemoryStore:
@@ -171,9 +189,15 @@ class MemoryStore:
 
 
 class DiskStore:
-    """One pickle file per artifact under ``root``, written atomically."""
+    """One framed pickle file per artifact under ``root``, written atomically.
+
+    A file is :attr:`HEADER`, the BLAKE2b digest (:attr:`DIGEST_SIZE`
+    bytes) of the payload, then the payload: the pickled artifact.
+    """
 
     SUFFIX = ".artifact.pkl"
+    HEADER = b"repro-artifact\x00" + ARTIFACT_SCHEMA.to_bytes(2, "big")
+    DIGEST_SIZE = 32
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
@@ -184,22 +208,31 @@ class DiskStore:
         # Two-level sharding keeps directories small under heavy traffic.
         return self.root / key[:2] / f"{key}{self.SUFFIX}"
 
+    def _digest(self, payload: bytes) -> bytes:
+        return hashlib.blake2b(payload, digest_size=self.DIGEST_SIZE).digest()
+
     def get(self, key: str) -> Artifact | None:
         """Load an artifact, treating *any* failure as a miss.
 
-        A truncated write (power loss mid-``os.replace`` is impossible,
-        but a torn copy from elsewhere is not), a pickle from a newer
-        schema, or plain garbage: all quarantine the file (best-effort
-        rename to ``*.corrupt``) and return ``None`` so the caller
-        recompiles.
+        A truncated or bit-flipped file, a file of another format or
+        schema, an artifact stored under another key, or plain garbage:
+        all quarantine the file (best-effort rename to ``*.corrupt``) and
+        return ``None`` so the caller recompiles.  The header and digest
+        are checked before the payload is unpickled.
         """
         path = self.path(key)
         try:
             blob = path.read_bytes()
         except OSError:
             return None
+        start = len(self.HEADER) + self.DIGEST_SIZE
+        payload = blob[start:]
         try:
-            artifact = pickle.loads(blob)
+            if not blob.startswith(self.HEADER):
+                raise ValueError("not an artifact file of this schema")
+            if blob[len(self.HEADER):start] != self._digest(payload):
+                raise ValueError("payload digest mismatch")
+            artifact = pickle.loads(payload)
             if not isinstance(artifact, Artifact) or artifact.schema != ARTIFACT_SCHEMA:
                 raise ValueError("wrong artifact type or schema")
             if artifact.key != key:
@@ -211,9 +244,11 @@ class DiskStore:
             except OSError:
                 pass
             return None
+        artifact._nbytes = len(payload)
         return artifact
 
     def put(self, key: str, artifact: Artifact) -> None:
+        payload = _dumps(artifact)
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -221,7 +256,9 @@ class DiskStore:
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(self.HEADER)
+                handle.write(self._digest(payload))
+                handle.write(payload)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -280,11 +317,14 @@ class ArtifactStore:
         return None, None
 
     def put(self, key: str, artifact: Artifact) -> list[str]:
-        """Write through both tiers; returns memory-tier evictions."""
-        evicted = self.memory.put(key, artifact)
+        """Write through both tiers; returns memory-tier evictions.
+
+        Disk first: its write pickles the artifact once and records the
+        payload's length, which the memory tier then accounts.
+        """
         if self.disk is not None:
             self.disk.put(key, artifact)
-        return evicted
+        return self.memory.put(key, artifact)
 
     @property
     def evictions(self) -> int:

@@ -56,3 +56,14 @@ def test_is_var():
     assert is_var(Var("a"))
     assert is_var(Var("a", 1))
     assert not is_var(Const(1))
+
+
+@pytest.mark.parametrize("value", [Const(-7), Var("a"), Var("a", 3)])
+def test_pickle_and_copy_round_trip(value):
+    import copy
+    import pickle
+
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol=protocol)) == value
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value

@@ -15,11 +15,13 @@ import pytest
 
 from repro.bench.generator import generate_program
 from repro.check.driver import case_inputs, spec_for_shape
+from repro.check.oracles import stale_bytecode_copy
 from repro.ir.builder import FunctionBuilder
 from repro.passes.cache import AnalysisCache
 from repro.passes.compiler import compile as compile_func
 from repro.pipeline import prepare
 from repro.profiles.compiled import (
+    CompiledProgram,
     compile_function,
     run_compiled,
 )
@@ -70,6 +72,92 @@ class TestGeneratorCorpus:
                 out.func, args, max_steps=MAX_STEPS, cache=out.cache
             )
             assert_bit_identical(ref, got)
+
+
+class TestPickleLoadPaths:
+    """A pickle carries bytecode for the interpreter that wrote it and the
+    source for every other: both load paths give the same program."""
+
+    @staticmethod
+    def _counting_compile(monkeypatch):
+        import repro.profiles.compiled as compiled
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(compiled, "compile", counting, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stale_magic_regenerates_bit_identically(
+        self, shape, seed, monkeypatch
+    ):
+        from repro.profiles.probes import place_probes
+
+        spec = spec_for_shape(shape, seed)
+        prepared = prepare(generate_program(spec).func)
+        for probes in (None, place_probes(prepared)):
+            fresh = compile_function(prepared, probes=probes)
+            calls = self._counting_compile(monkeypatch)
+            stale = stale_bytecode_copy(fresh)
+            assert len(calls) == 1  # regenerated from source
+            monkeypatch.undo()
+            seen = {"fresh": [], "stale": []}
+            fresh.profile_hook = seen["fresh"].append
+            stale.profile_hook = seen["stale"].append
+            for args in case_inputs(spec):
+                assert_bit_identical(
+                    fresh.run(args, max_steps=MAX_STEPS),
+                    stale.run(args, max_steps=MAX_STEPS),
+                )
+            assert seen["fresh"] == seen["stale"]
+            assert len(seen["stale"]) == len(case_inputs(spec))
+
+    def test_matching_magic_never_compiles(self, monkeypatch):
+        import repro.profiles.compiled as compiled
+
+        spec = spec_for_shape("cint", 1)
+        prepared = prepare(generate_program(spec).func)
+        fresh = compile_function(prepared)
+        blob = pickle.dumps(fresh)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("unpickling compiled the source")
+
+        monkeypatch.setattr(compiled, "compile", refuse, raising=False)
+        loaded = pickle.loads(blob)
+        for args in case_inputs(spec):
+            assert_bit_identical(
+                fresh.run(args, max_steps=MAX_STEPS),
+                loaded.run(args, max_steps=MAX_STEPS),
+            )
+
+    def test_unreadable_bytecode_falls_back_to_source(self, monkeypatch):
+        spec = spec_for_shape("cfp", 2)
+        prepared = prepare(generate_program(spec).func)
+        fresh = compile_function(prepared)
+        state = fresh.__getstate__()
+        magic, blob = state["bytecode"]
+        state["bytecode"] = (magic, blob[: len(blob) // 2])
+        calls = self._counting_compile(monkeypatch)
+        loaded = CompiledProgram.__new__(CompiledProgram)
+        loaded.__setstate__(state)
+        assert len(calls) == 1
+        for args in case_inputs(spec):
+            assert_bit_identical(
+                fresh.run(args, max_steps=MAX_STEPS),
+                loaded.run(args, max_steps=MAX_STEPS),
+            )
+
+    def test_live_program_keeps_no_bytecode(self):
+        program = pickle.loads(pickle.dumps(compile_function(_two_entry_loop())))
+        assert "bytecode" not in vars(program)
+        assert program.function.__code__.co_name == "_run"
+        assert program.derive.__code__.co_name == "_derive"
 
 
 class TestErrorParity:
@@ -236,7 +324,9 @@ class TestCaching:
 # -- hard CFG shapes ----------------------------------------------------------
 # Each shape runs through every form a lowered program takes in
 # production: full counting and certified-probe counting, freshly lowered
-# and after a pickle round-trip, with and without a live-profiling hook.
+# and after a pickle round-trip (loading the pickled bytecode, or
+# regenerating from source under a stale bytecode tag), with and without
+# a live-profiling hook.
 
 
 def _two_entry_loop():
@@ -426,6 +516,7 @@ def _assert_engines_match(func, cases):
     )}
     for mode, program in list(programs.items()):
         programs[f"{mode}-pickled"] = pickle.loads(pickle.dumps(program))
+        programs[f"{mode}-stale"] = stale_bytecode_copy(program)
     for mode, program in programs.items():
         for hooked in (False, True):
             seen = []

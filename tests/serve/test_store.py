@@ -1,6 +1,11 @@
 """Two-tier artifact store: LRU order, disk round-trip, corruption."""
 
+import hashlib
 import pickle
+import pickletools
+from importlib.util import MAGIC_NUMBER
+
+import pytest
 
 from repro.serve.store import (
     ARTIFACT_SCHEMA,
@@ -11,6 +16,18 @@ from repro.serve.store import (
 
 from tests.conftest import build_diamond, build_straightline, build_while_loop
 from tests.serve.conftest import make_artifact
+
+
+def _write_framed(path, payload: bytes) -> None:
+    """Write *payload* the way DiskStore frames it, with a valid digest,
+    so only the checks after the digest can reject the file."""
+    digest = hashlib.blake2b(payload, digest_size=DiskStore.DIGEST_SIZE)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(DiskStore.HEADER + digest.digest() + payload)
+
+
+def _payload(path) -> bytes:
+    return path.read_bytes()[len(DiskStore.HEADER) + DiskStore.DIGEST_SIZE:]
 
 
 def _three_artifacts():
@@ -110,10 +127,10 @@ class TestDiskStore:
         disk = DiskStore(tmp_path)
         disk.put(key, artifact)
         hijack = "f" * len(key)
-        disk.path(hijack).parent.mkdir(parents=True, exist_ok=True)
-        disk.path(hijack).write_bytes(pickle.dumps(artifact))
+        _write_framed(disk.path(hijack), pickle.dumps(artifact))
         assert disk.get(hijack) is None
         assert disk.corrupt == 1
+        assert disk.get(key) is not None  # the entry under its own key loads
 
     def test_missing_key_is_a_plain_miss(self, tmp_path):
         disk = DiskStore(tmp_path)
@@ -174,25 +191,70 @@ class TestArtifactStore:
         assert got.key == pairs[0][0]
 
 
+def _reference_answer():
+    from repro.pipeline import prepare
+    from repro.profiles.interp import run_function
+
+    return run_function(prepare(build_while_loop()), [2, 3, 5]).observable()
+
+
+def _loop_request():
+    from repro.ir.printer import format_function
+    from repro.serve.server import CompileRequest
+
+    return CompileRequest(
+        source=format_function(build_while_loop()),
+        args=(2, 3, 5),
+        variant="ssapre",
+    )
+
+
+def _serve_once(root, request):
+    from repro.serve.server import CompileService
+
+    with CompileService(store=ArtifactStore.with_disk(root)) as svc:
+        response = svc.handle(request)
+        corrupt = (svc.store.disk_corrupt, svc.metrics.get("disk_corrupt"))
+    return response, corrupt
+
+
+def _assert_quarantined_and_recompiled(root, key, request):
+    """The entry at *key* is rejected, counted and quarantined; the
+    service recompiles, answers correctly and replaces the entry."""
+    path = DiskStore(root).path(key)
+    second, corrupt = _serve_once(root, request)
+    assert corrupt == (1, 1)
+    assert second.status == "ok"
+    assert second.served_by == "compile"
+    assert second.observable() == _reference_answer()
+    assert path.with_suffix(".corrupt").exists()
+
+    third, corrupt = _serve_once(root, request)
+    assert corrupt == (0, 0)
+    assert third.served_by == "disk"
+    assert third.observable() == _reference_answer()
+
+
+@pytest.fixture
+def stored_loop(tmp_path):
+    """A disk store holding the while-loop artifact a service compiled."""
+    from repro.serve.server import CompileService
+
+    request = _loop_request()
+    with CompileService(store=ArtifactStore.with_disk(tmp_path)) as svc:
+        first = svc.handle(request)
+        artifact, _ = svc.store.get(first.key)
+    assert first.served_by == "compile"
+    return request, first.key, artifact
+
+
 class TestSchemaUpgrade:
     def test_schema_3_file_is_quarantined_and_recompiled(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, stored_loop
     ):
-        from repro.ir.printer import format_function
-        from repro.pipeline import prepare
         from repro.profiles.compiled import CompiledProgram
-        from repro.profiles.interp import run_function
-        from repro.serve.server import CompileRequest, CompileService
 
-        request = CompileRequest(
-            source=format_function(build_while_loop()),
-            args=(2, 3, 5),
-            variant="ssapre",
-        )
-        with CompileService(store=ArtifactStore.with_disk(tmp_path)) as svc:
-            first = svc.handle(request)
-            artifact, _ = svc.store.get(first.key)
-        assert first.served_by == "compile"
+        request, key, artifact = stored_loop
 
         # Rewrite the entry the way a schema-3 build wrote it: the old
         # block-closure program layout under the old schema number.
@@ -211,26 +273,143 @@ class TestSchemaUpgrade:
 
         monkeypatch.setattr(CompiledProgram, "__getstate__", old_layout)
         artifact.schema = 3
-        path = DiskStore(tmp_path).path(first.key)
-        path.write_bytes(pickle.dumps(artifact))
+        payload = pickle.dumps(artifact)
         monkeypatch.undo()
+        _write_framed(DiskStore(tmp_path).path(key), payload)
+        _assert_quarantined_and_recompiled(tmp_path, key, request)
 
-        with CompileService(store=ArtifactStore.with_disk(tmp_path)) as svc:
-            second = svc.handle(request)
-            assert svc.store.disk_corrupt == 1
-            assert svc.metrics.get("disk_corrupt") == 1
-        assert second.status == "ok"
-        assert second.served_by == "compile"
-        expected = run_function(prepare(build_while_loop()), [2, 3, 5])
-        assert second.observable() == expected.observable()
-        assert path.with_suffix(".corrupt").exists()
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_schema_4_file_is_quarantined_and_recompiled(
+        self, tmp_path, monkeypatch, stored_loop, framed
+    ):
+        from repro.profiles.compiled import CompiledProgram
 
-        # The recompiled artifact replaced the quarantined one on disk.
+        request, key, artifact = stored_loop
+
+        # A schema-4 program pickled its source only, no bytecode.
+        def source_only(program):
+            state = dict(program.__dict__)
+            state.update(function=None, derive=None, profile_hook=None)
+            return state
+
+        monkeypatch.setattr(CompiledProgram, "__getstate__", source_only)
+        artifact.schema = 4
+        payload = pickle.dumps(artifact)
+        monkeypatch.undo()
+        path = DiskStore(tmp_path).path(key)
+        if framed:  # only the schema number is stale
+            _write_framed(path, payload)
+        else:  # exactly what a schema-4 build wrote: an unframed pickle
+            path.write_bytes(payload)
+        _assert_quarantined_and_recompiled(tmp_path, key, request)
+
+
+def _flip_positions(blob: bytes, artifact) -> list[int]:
+    """64 positions over the header + digest, the marshalled bytecode
+    and the generated source of one stored entry."""
+    start = len(DiskStore.HEADER) + DiskStore.DIGEST_SIZE
+    args = [
+        (arg, pos) for op, arg, pos in pickletools.genops(blob[start:])
+        if isinstance(arg, (bytes, str))
+    ]
+    tags = [i for i, (arg, _) in enumerate(args) if arg == MAGIC_NUMBER]
+    assert len(tags) == 1
+    code, code_op = args[tags[0] + 1]
+    # Skip the opcode and its length field: the span is the bytes alone.
+    code_at = blob.index(code, start + code_op)
+    source = artifact.program.source.encode()
+    source_at = blob.index(source)
+
+    def spread(lo: int, size: int, n: int) -> list[int]:
+        return [lo + (size - 1) * k // (n - 1) for k in range(n)]
+
+    return [
+        *spread(0, start, 16),
+        *spread(code_at, len(code), 24),
+        *spread(source_at, len(source), 24),
+    ]
+
+
+class TestByteFlips:
+    def test_every_flipped_byte_is_quarantined_and_answered(
+        self, tmp_path, stored_loop
+    ):
+        request, key, artifact = stored_loop
+        path = DiskStore(tmp_path).path(key)
+        blob = path.read_bytes()
+        positions = _flip_positions(blob, artifact)
+        assert len(set(positions)) == 64
+        for pos in positions:
+            flipped = bytearray(blob)
+            flipped[pos] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            response, corrupt = _serve_once(tmp_path, request)
+            assert corrupt == (1, 1), pos
+            assert response.served_by == "compile", pos
+            assert response.observable() == _reference_answer(), pos
+            assert path.with_suffix(".corrupt").read_bytes() == flipped
+
+
+class TestNbytesAccounting:
+    def test_disk_hit_does_not_pickle(
+        self, tmp_path, monkeypatch, diamond_artifact
+    ):
+        key, artifact = diamond_artifact
+        ArtifactStore.with_disk(tmp_path).put(key, artifact)
+        fresh = ArtifactStore.with_disk(tmp_path)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a disk hit pickled its artifact")
+
+        monkeypatch.setattr("repro.serve.store.pickle.dumps", refuse)
+        got, tier = fresh.get(key)
+        assert tier == "disk"
+        assert got.nbytes() == len(_payload(fresh.disk.path(key)))
+
+    def test_promotion_accounts_the_stored_payload(
+        self, tmp_path, diamond_artifact
+    ):
+        key, artifact = diamond_artifact
+        ArtifactStore.with_disk(tmp_path).put(key, artifact)
+        fresh = ArtifactStore.with_disk(tmp_path)
+        fresh.get(key)
+        assert fresh.memory.bytes_used() == len(_payload(fresh.disk.path(key)))
+
+    def test_compile_and_put_pickles_once(self, tmp_path, monkeypatch):
+        from repro.serve.server import CompileService
+
+        calls = []
+        dumps = pickle.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serve.store.pickle.dumps", counting)
         with CompileService(store=ArtifactStore.with_disk(tmp_path)) as svc:
-            third = svc.handle(request)
-            assert svc.store.disk_corrupt == 0
-        assert third.served_by == "disk"
-        assert third.observable() == expected.observable()
+            response = svc.handle(_loop_request())
+            artifact, _ = svc.store.get(response.key)
+            used = svc.store.memory.bytes_used()
+        assert response.served_by == "compile"
+        assert calls == [artifact]
+        payload = _payload(DiskStore(tmp_path).path(response.key))
+        assert used == artifact.nbytes() == len(payload)
+
+    def test_memory_only_put_pickles_once(self, monkeypatch, diamond_artifact):
+        key, artifact = diamond_artifact
+        calls = []
+        dumps = pickle.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serve.store.pickle.dumps", counting)
+        store = ArtifactStore()
+        store.put(key, artifact)
+        store.put(key, artifact)
+        assert calls == [artifact]
+        assert store.memory.bytes_used() == len(dumps(artifact))
 
 
 class TestMultiprocessWrites:
