@@ -12,6 +12,7 @@ the SSAPREsp baseline (loop-based speculation of Lo et al.).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from repro.analysis.dominators import DominatorTree
 from repro.ir.cfg import CFG
@@ -49,6 +50,21 @@ class Loop:
         return [p for p in cfg.predecessors(self.header) if p not in self.blocks]
 
 
+def natural_loop(
+    header: str, latches: Iterable[str], preds: Mapping[str, Iterable[str]]
+) -> set[str]:
+    """*header* plus every block that reaches one of *latches* without
+    passing through *header*, walking the predecessor map *preds*."""
+    blocks = {header}
+    worklist = list(latches)
+    while worklist:
+        label = worklist.pop()
+        if label not in blocks:
+            blocks.add(label)
+            worklist.extend(preds[label])
+    return blocks
+
+
 class LoopForest:
     """All natural loops of a function, with nesting links."""
 
@@ -60,21 +76,9 @@ class LoopForest:
             if src in reachable and dst in reachable and domtree.dominates(dst, src):
                 loop = self.loops.setdefault(dst, Loop(header=dst))
                 loop.latches.append(src)
-                self._collect(loop, src)
         for loop in self.loops.values():
-            loop.blocks.add(loop.header)
+            loop.blocks = natural_loop(loop.header, loop.latches, cfg.preds)
         self._link_nesting(domtree)
-
-    def _collect(self, loop: Loop, latch: str) -> None:
-        if latch == loop.header:
-            return
-        worklist = [latch]
-        while worklist:
-            label = worklist.pop()
-            if label in loop.blocks or label == loop.header:
-                continue
-            loop.blocks.add(label)
-            worklist.extend(self.cfg.predecessors(label))
 
     def _link_nesting(self, domtree: DominatorTree) -> None:
         # The parent of a loop is the smallest other loop strictly

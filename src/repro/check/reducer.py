@@ -139,7 +139,7 @@ def _inline_jump_candidates(func: Function) -> Iterator[tuple[str, Function]]:
     """Absorb a ``jump``-only edge: the predecessor takes over the
     target's body and terminator.  Shrinks (via the size guard) exactly
     when the target had that single predecessor and disappears."""
-    from repro.ir.function import _clone_statement, _clone_terminator
+    from repro.ir.function import clone_statement, clone_terminator
 
     for label, block in func.blocks.items():
         term = block.terminator
@@ -150,8 +150,8 @@ def _inline_jump_candidates(func: Function) -> Iterator[tuple[str, Function]]:
             continue
         candidate = func.clone()
         merged = candidate.blocks[label]
-        merged.body.extend(_clone_statement(s) for s in target.body)
-        merged.terminator = _clone_terminator(target.terminator)
+        merged.body.extend(clone_statement(s) for s in target.body)
+        merged.terminator = clone_terminator(target.terminator)
         candidate.mark_cfg_mutated()
         remove_unreachable_blocks(candidate)
         yield f"inline {term.target} into {label}", candidate

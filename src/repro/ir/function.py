@@ -230,8 +230,8 @@ class Function:
         for label, block in self.blocks.items():
             copied = BasicBlock(label)
             copied.phis = [Phi(phi.target, dict(phi.args)) for phi in block.phis]
-            copied.body = [_clone_statement(stmt) for stmt in block.body]
-            copied.terminator = _clone_terminator(block.terminator)
+            copied.body = [clone_statement(stmt) for stmt in block.body]
+            copied.terminator = clone_terminator(block.terminator)
             out.blocks[label] = copied
         return out
 
@@ -241,7 +241,8 @@ class Function:
         return format_function(self)
 
 
-def _clone_statement(stmt: Statement) -> Statement:
+def clone_statement(stmt: Statement) -> Statement:
+    """A fresh copy of a body statement; operands are shared (immutable)."""
     if isinstance(stmt, Assign):
         rhs = stmt.rhs
         if isinstance(rhs, BinOp):
@@ -258,7 +259,8 @@ def _clone_statement(stmt: Statement) -> Statement:
     raise TypeError(f"cannot clone statement {stmt!r}")
 
 
-def _clone_terminator(term: Terminator) -> Terminator:
+def clone_terminator(term: Terminator) -> Terminator:
+    """A fresh copy of a terminator."""
     if isinstance(term, Jump):
         return Jump(term.target)
     if isinstance(term, CondJump):

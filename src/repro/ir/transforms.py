@@ -13,12 +13,12 @@
 
 from __future__ import annotations
 
-import copy
+import heapq
 
 from repro.analysis.dominators import DominatorTree
-from repro.analysis.loops import LoopForest
+from repro.analysis.loops import LoopForest, natural_loop
 from repro.ir.cfg import CFG
-from repro.ir.function import Function
+from repro.ir.function import Function, clone_statement, clone_terminator
 from repro.ir.instructions import CondJump, Jump, retarget
 
 
@@ -54,6 +54,33 @@ def restructure_while_loops(func: Function) -> list[str]:
     executes at least once per entry that passes the test — exactly the
     do-while shape that lets safe PRE hoist invariants without speculation.
 
+    Loops are rotated one at a time, each time the one with the smallest
+    header label among those not yet rotated and currently eligible; this
+    is the fixpoint "rebuild CFG, dominators and loops, rotate the first
+    eligible loop, repeat".  The analyses are built once and two
+    structures are kept exact across rotations instead: predecessor sets
+    and a header → loop-blocks map.  Rotating header ``h`` with inside
+    successor ``s``, exit ``x``, clone ``c`` and outside predecessors
+    ``P`` splits ``h`` in two, which changes the loop structure in only
+    three places:
+
+    * ``preds[c] = P``; ``P`` leaves ``preds[h]``; ``c`` joins
+      ``preds[s]`` and ``preds[x]``;
+    * ``c`` joins every other loop whose blocks contain ``h``;
+    * ``h`` now dominates only itself, so its loop moves to header ``s``
+      (absorbing any loop already headed there).  Its latches are the
+      reachable predecessors of ``s`` other than ``c``, and its blocks
+      are re-collected from them: the same set ``h``'s loop had, less
+      any unreachable block that reached its latches only through
+      ``s``.  A self-loop (``s == h``) keeps its header.
+
+    No other loop changes eligibility, so a loop found ineligible is
+    revisited only if a rotation moves a loop onto its header.  A loop can
+    move back onto a header rotated earlier (``h`` → ``s`` → ``h`` in a
+    two-block loop); like the fixpoint, each header is rotated only once.
+    ``tests/ir/test_restructure_oracle.py`` pins the output, the entry and
+    the clone labels byte-identical to the rebuild-every-rotation fixpoint.
+
     Must run **before** SSA construction (cloned blocks duplicate plain
     assignments; phis cannot be naively cloned).  Returns the clone labels.
     """
@@ -61,37 +88,56 @@ def restructure_while_loops(func: Function) -> list[str]:
         if block.phis:
             raise ValueError("restructure_while_loops requires non-SSA input")
 
+    cfg = CFG(func)
+    domtree = DominatorTree(cfg)
+    loops = {loop.header: loop.blocks for loop in LoopForest(cfg, domtree)}
+    preds = {label: set(labels) for label, labels in cfg.preds.items()}
+    reachable = set(domtree.rpo)
+
     clones: list[str] = []
     done: set[str] = set()  # headers already rotated once
-    while True:
-        cfg = CFG(func)
-        domtree = DominatorTree(cfg)
-        forest = LoopForest(cfg, domtree)
-        rotated = False
-        for loop in sorted(forest, key=lambda l: l.header):
-            if loop.header in done:
-                continue
-            header = func.blocks[loop.header]
-            if not isinstance(header.terminator, CondJump):
-                continue
-            succs = set(header.successors())
-            exits = succs - loop.blocks
-            insides = succs & loop.blocks
-            if len(exits) != 1 or len(insides) != 1:
-                continue
-            outside_preds = loop.entry_preds(cfg)
-            if not outside_preds and loop.header != func.entry:
-                continue
-            clone = func.add_block(func.fresh_label(f"{loop.header}_test"))
-            clone.body = copy.deepcopy(header.body)
-            clone.terminator = copy.deepcopy(header.terminator)
-            for pred in outside_preds:
-                retarget(func.blocks[pred].terminator, loop.header, clone.label)
-            if loop.header == func.entry:
-                func.entry = clone.label
-            done.add(loop.header)
-            clones.append(clone.label)
-            rotated = True
-            break  # recompute loop structure after each rotation
-        if not rotated:
-            return clones
+    pending = sorted(loops)  # a sorted list is a valid heap
+    while pending:
+        label = heapq.heappop(pending)
+        blocks = loops.get(label)
+        if blocks is None or label in done:
+            continue
+        header = func.blocks[label]
+        if not isinstance(header.terminator, CondJump):
+            continue
+        succs = set(header.successors())
+        exits = succs - blocks
+        insides = succs & blocks
+        if len(exits) != 1 or len(insides) != 1:
+            continue
+        outside_preds = preds[label] - blocks
+        if not outside_preds and label != func.entry:
+            continue
+        clone = func.add_block(func.fresh_label(f"{label}_test"))
+        clone.body = [clone_statement(stmt) for stmt in header.body]
+        clone.terminator = clone_terminator(header.terminator)
+        for pred in outside_preds:
+            retarget(func.blocks[pred].terminator, label, clone.label)
+        if label == func.entry:
+            func.entry = clone.label
+        done.add(label)
+        clones.append(clone.label)
+
+        (inside,) = insides
+        (exit_,) = exits
+        preds[clone.label] = outside_preds
+        preds[label] -= outside_preds
+        preds[inside].add(clone.label)
+        preds[exit_].add(clone.label)
+        reachable.add(clone.label)
+        for other, other_blocks in loops.items():
+            if other != label and label in other_blocks:
+                other_blocks.add(clone.label)
+        if inside != label:
+            del loops[label]
+            latches = [
+                p for p in preds[inside] if p in reachable and p != clone.label
+            ]
+            loops[inside] = natural_loop(inside, latches, preds)
+            heapq.heappush(pending, inside)
+    return clones

@@ -124,6 +124,47 @@ class TestRestructureWhileLoops:
         after = run_function(func, [5])
         assert before.observable() == after.observable()
 
+    def test_analyses_built_once_for_many_loops(self, monkeypatch):
+        """50 sequential while loops: one dominator tree and one loop
+        forest in total, not one per rotation."""
+        import repro.ir.transforms as transforms
+
+        built = {"DominatorTree": 0, "LoopForest": 0}
+
+        def counting(cls):
+            def construct(*args, **kwargs):
+                built[cls.__name__] += 1
+                return cls(*args, **kwargs)
+
+            return construct
+
+        for name in built:
+            cls = getattr(transforms, name)
+            monkeypatch.setattr(transforms, name, counting(cls))
+
+        b = FunctionBuilder("seq", params=["n"])
+        b.block("entry")
+        b.copy("i", 0)
+        b.jump("head0")
+        for k in range(50):
+            b.block(f"head{k}")
+            b.assign("c", "lt", "i", "n")
+            b.branch("c", f"body{k}", f"head{k + 1}" if k < 49 else "done")
+            b.block(f"body{k}")
+            b.assign("i", "add", "i", 1)
+            b.jump(f"head{k}")
+        b.block("done")
+        b.ret("i")
+        func = b.build()
+
+        clones = restructure_while_loops(func)
+        assert built == {"DominatorTree": 1, "LoopForest": 1}
+        assert len(clones) == 50
+        verify_function(func)
+        cfg = CFG(func)
+        for k in range(50):
+            assert cfg.predecessors(f"head{k}") == [f"body{k}"]
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=5_000))
     def test_generated_program_semantics_preserved(self, seed):
