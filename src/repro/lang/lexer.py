@@ -7,6 +7,13 @@ printed while ``a-1`` still lexes as ``a`` and ``-1``), ``INT``,
 punctuation (``( ) { } , : =``) and ``NEWLINE`` markers are not needed —
 the grammar is entirely punctuation-delimited.  ``#`` starts a comment
 running to end of line.
+
+The parser reads :func:`scan`: a whole source's token texts from one
+C-level pass (strip comments, pad the punctuation, ``str.split``), each
+*distinct* text classified once, no per-token object, no positions.
+:func:`tokenize` is the position-tracking lexer over the same regex:
+``scan`` falls back to it when a chunk is not exactly one token, and the
+parser re-lexes with it only to report where an error happened.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_COMMENT_RE = re.compile(r"#[^\n]*")
+#: Whitespace that ``str.split`` breaks on but :data:`_TOKEN_RE` rejects.
+_FOREIGN_SPACE_RE = re.compile(r"[^\S \t\r\n]")
 
 
 def tokenize(source: str) -> Iterator[Token]:
@@ -66,3 +76,33 @@ def tokenize(source: str) -> Iterator[Token]:
             yield Token(kind if kind != "PUNCT" else text, text, line, column)
         pos = match.end()
     yield Token("EOF", "", line, pos - line_start + 1)
+
+
+def scan(source: str) -> tuple[list[str], dict[str, str]]:
+    """The token texts of *source* and the kind of each distinct text.
+
+    The texts are those :func:`tokenize` yields, ending in the ``EOF``
+    text ``""``, so index ``i`` names the same token in both.
+    """
+    text = _COMMENT_RE.sub("", source) if "#" in source else source
+    for punct in "(){},:=":
+        text = text.replace(punct, f" {punct} ")
+    texts = text.split()
+    kinds = {"": "EOF"}
+    if not _has_foreign_space(text):
+        for chunk in set(texts):
+            match = _TOKEN_RE.fullmatch(chunk)
+            if match is None:
+                break
+            kinds[chunk] = chunk if match.lastgroup == "PUNCT" else match.lastgroup
+        else:
+            texts.append("")
+            return texts, kinds
+    tokens = list(tokenize(source))
+    return [t.text for t in tokens], {t.text: t.kind for t in tokens}
+
+
+def _has_foreign_space(text: str) -> bool:
+    if text.isascii():  # the fast path: six characters to look for
+        return any(map(text.__contains__, "\x0b\x0c\x1c\x1d\x1e\x1f"))
+    return _FOREIGN_SPACE_RE.search(text) is not None

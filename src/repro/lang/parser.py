@@ -24,6 +24,14 @@ Every :class:`ParseError` carries the source position (``line``/``column``
 attributes, and a ``line:column:`` message prefix).  Duplicate block
 labels and redefined SSA names are rejected here, at the point of
 definition, rather than surfacing later as confusing verifier failures.
+
+Served requests ship their programs as text, so parsing is on the
+serving hot path.  The parser walks the flat token texts of
+:func:`repro.lang.lexer.scan` by index and builds one ``Var``/``Const``
+per distinct operand text (both are frozen, so occurrences share it).
+Positions are not tracked: an error re-lexes the source with
+:func:`~repro.lang.lexer.tokenize` and reads the failing token's
+``line:column`` by its index.
 """
 
 from __future__ import annotations
@@ -43,10 +51,11 @@ from repro.ir.instructions import (
 )
 from repro.ir.ops import BINARY_OPS, UNARY_OPS
 from repro.ir.values import Const, Operand, Var
-from repro.lang.lexer import Token, tokenize
+from repro.lang.lexer import Token, scan, tokenize
 
 _KEYWORDS = {"func", "phi", "output", "jump", "br", "ret", "load", "store", "arrays"}
 _TERMINATOR_WORDS = {"jump", "br", "ret"}
+_RESERVED = _KEYWORDS | set(BINARY_OPS) | set(UNARY_OPS)
 
 
 class ParseError(Exception):
@@ -63,130 +72,132 @@ class ParseError(Exception):
 
 class _Parser:
     def __init__(self, source: str) -> None:
-        self.tokens = list(tokenize(source))
+        self.source = source
+        self.texts, self.kinds = scan(source)
         self.pos = 0
+        #: one shared ``Var``/``Const`` per distinct operand text
+        self.operands: dict[str, Operand] = {}
+        self._tokens: list[Token] | None = None
 
     # ------------------------------------------------------------------
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def token(self, index: int | None = None) -> Token:
+        """The token at *index* (default: the current one), with its
+        position — lexed again only when an error needs it."""
+        if self._tokens is None:
+            self._tokens = list(tokenize(self.source))
+        return self._tokens[self.pos if index is None else index]
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self.peek()
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        token = self.token(index)
         return ParseError(message, token.line, token.column)
 
-    def expect(self, kind: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise self.error(f"expected {kind!r}, found {token}")
-        return self.advance()
+    def expect(self, kind: str) -> str:
+        text = self.texts[self.pos]
+        if self.kinds[text] != kind:
+            raise self.error(f"expected {kind!r}, found {self.token()}")
+        self.pos += 1
+        return text
 
-    def at_name(self, text: str | None = None) -> bool:
-        token = self.peek()
-        return token.kind == "NAME" and (text is None or token.text == text)
+    def skip_comma(self) -> None:
+        if self.texts[self.pos] == ",":
+            self.pos += 1
 
     # ------------------------------------------------------------------
     def parse_program(self) -> list[Function]:
         funcs = []
-        while self.peek().kind != "EOF":
+        while self.texts[self.pos]:  # "" is the EOF text
             funcs.append(self.parse_function())
         if not funcs:
             raise ParseError("empty program")
         return funcs
 
     def parse_function(self) -> Function:
-        keyword = self.expect("NAME")
-        if keyword.text != "func":
-            raise self.error(f"expected 'func', found {keyword}", keyword)
-        name = self.expect("NAME").text
+        index = self.pos
+        if self.expect("NAME") != "func":
+            raise self.error(f"expected 'func', found {self.token(index)}", index)
+        name = self.expect("NAME")
         self.expect("(")
         params: list[Var] = []
-        while not self.peek().kind == ")":
+        while self.texts[self.pos] != ")":
             # parse_var handles the SSA ".N" suffix, so the parameter list
             # of an SSA-form function (``func f(a.1)``) round-trips.
             params.append(self.parse_var())
-            if self.peek().kind == ",":
-                self.advance()
+            self.skip_comma()
         self.expect(")")
         func = Function(name, params)
         #: versioned SSA names already defined (params count as defs)
         self._defined = {p for p in params if p.version is not None}
-        if self.at_name("arrays"):
-            self.advance()
+        if self.texts[self.pos] == "arrays":
+            self.pos += 1
             self.expect("(")
-            while self.peek().kind != ")":
-                arr_token = self.peek()
+            while self.texts[self.pos] != ")":
+                arr_index = self.pos
                 arr = self.parse_array_name()
                 self.expect(":")
-                length_token = self.expect("INT")
+                length = self.expect("INT")
                 try:
-                    func.declare_array(arr, int(length_token.text))
+                    func.declare_array(arr, int(length))
                 except ValueError as exc:
-                    raise self.error(str(exc), arr_token) from None
-                if self.peek().kind == ",":
-                    self.advance()
+                    raise self.error(str(exc), arr_index) from None
+                self.skip_comma()
             self.expect(")")
         self.expect("{")
-        while self.peek().kind != "}":
+        while self.texts[self.pos] != "}":
             self.parse_block(func)
         self.expect("}")
         return func
 
     def parse_block(self, func: Function) -> None:
-        label_token = self.expect("NAME")
-        label = label_token.text
+        texts = self.texts
+        label_index = self.pos
+        label = self.expect("NAME")
         self.expect(":")
         if label in func.blocks:
-            raise self.error(f"duplicate block label {label!r}", label_token)
+            raise self.error(f"duplicate block label {label!r}", label_index)
         block = func.add_block(label)
         while True:
-            token = self.peek()
-            if token.kind != "NAME":
+            text = texts[self.pos]
+            if self.kinds[text] != "NAME":
                 raise self.error(
-                    f"block {label!r} has no terminator before {token}", token
+                    f"block {label!r} has no terminator before {self.token()}"
                 )
-            if token.text not in _TERMINATOR_WORDS and self._name_is_block_label():
+            if text not in _TERMINATOR_WORDS and texts[self.pos + 1] == ":":
                 raise self.error(
-                    f"block {label!r} has no terminator before label "
-                    f"{token.text!r}",
-                    token,
+                    f"block {label!r} has no terminator before label {text!r}"
                 )
-            if token.text == "output":
-                self.advance()
+            if text == "output":
+                self.pos += 1
                 block.body.append(Output(self.parse_operand()))
-            elif token.text == "store":
-                self.advance()
+            elif text == "store":
+                self.pos += 1
                 array = self.parse_array_name()
                 self.expect(",")
                 index = self.parse_operand()
                 self.expect(",")
                 value = self.parse_operand()
                 block.body.append(Store(array, index, value))
-            elif token.text == "jump":
-                self.advance()
-                block.terminator = Jump(self.expect("NAME").text)
+            elif text == "jump":
+                self.pos += 1
+                block.terminator = Jump(self.expect("NAME"))
                 return
-            elif token.text == "br":
-                self.advance()
+            elif text == "br":
+                self.pos += 1
                 cond = self.parse_operand()
                 self.expect(",")
-                true_target = self.expect("NAME").text
+                true_target = self.expect("NAME")
                 self.expect(",")
-                false_target = self.expect("NAME").text
+                false_target = self.expect("NAME")
                 block.terminator = CondJump(cond, true_target, false_target)
                 return
-            elif token.text == "ret":
-                self.advance()
+            elif text == "ret":
+                self.pos += 1
                 value: Operand | None = None
-                nxt = self.peek()
-                if nxt.kind == "INT" or (
-                    nxt.kind == "NAME"
-                    and nxt.text not in _KEYWORDS
-                    and not self._name_is_block_label()
+                nxt = texts[self.pos]
+                kind = self.kinds[nxt]
+                if kind == "INT" or (
+                    kind == "NAME"
+                    and nxt not in _KEYWORDS
+                    and texts[self.pos + 1] != ":"
                 ):
                     value = self.parse_operand()
                 block.terminator = Return(value)
@@ -194,93 +205,86 @@ class _Parser:
             else:
                 self.parse_assignment(block)
 
-    def _name_is_block_label(self) -> bool:
-        """Lookahead: is the NAME at ``pos`` followed by a colon?"""
-        return (
-            self.peek().kind == "NAME"
-            and self.tokens[self.pos + 1].kind == ":"
-        )
-
-    def _define(self, target: Var, token: Token) -> None:
-        """Record an SSA definition, rejecting redefinitions early."""
-        if target.version is None:
-            return
-        if target in self._defined:
-            raise self.error(
-                f"SSA name {target} defined more than once", token
-            )
-        self._defined.add(target)
-
     def parse_assignment(self, block) -> None:
-        target_token = self.peek()
+        target_index = self.pos
         target = self.parse_var()
-        self._define(target, target_token)
+        if target.version is not None:
+            # Reject an SSA redefinition here rather than in the verifier.
+            if target in self._defined:
+                raise self.error(
+                    f"SSA name {target} defined more than once", target_index
+                )
+            self._defined.add(target)
         self.expect("=")
-        token = self.peek()
-        if token.kind == "NAME" and token.text == "phi":
-            self.advance()
+        text = self.texts[self.pos]
+        if text == "phi":
+            self.pos += 1
             self.expect("(")
             args: dict[str, Operand] = {}
-            while self.peek().kind != ")":
-                pred = self.expect("NAME").text
+            while self.texts[self.pos] != ")":
+                pred = self.expect("NAME")
                 self.expect(":")
                 args[pred] = self.parse_operand()
-                if self.peek().kind == ",":
-                    self.advance()
+                self.skip_comma()
             self.expect(")")
             block.phis.append(Phi(target, args))
-            return
-        if token.kind == "NAME" and token.text == "load":
-            self.advance()
+        elif text == "load":
+            self.pos += 1
             array = self.parse_array_name()
             self.expect(",")
-            index = self.parse_operand()
-            block.body.append(Assign(target, Load(array, index)))
-            return
-        if token.kind == "NAME" and token.text in BINARY_OPS:
-            op = self.advance().text
+            block.body.append(Assign(target, Load(array, self.parse_operand())))
+        elif text in BINARY_OPS:
+            self.pos += 1
             left = self.parse_operand()
             self.expect(",")
             right = self.parse_operand()
-            block.body.append(Assign(target, BinOp(op, left, right)))
-            return
-        if token.kind == "NAME" and token.text in UNARY_OPS:
-            op = self.advance().text
-            operand = self.parse_operand()
-            block.body.append(Assign(target, UnaryOp(op, operand)))
-            return
-        block.body.append(Assign(target, self.parse_operand()))
+            block.body.append(Assign(target, BinOp(text, left, right)))
+        elif text in UNARY_OPS:
+            self.pos += 1
+            block.body.append(Assign(target, UnaryOp(text, self.parse_operand())))
+        else:
+            block.body.append(Assign(target, self.parse_operand()))
 
     def parse_operand(self) -> Operand:
-        token = self.peek()
-        if token.kind == "INT":
-            self.advance()
-            return Const(int(token.text))
-        if token.kind == "NAME":
-            return self.parse_var()
-        raise self.error(f"expected operand, found {token}", token)
+        text = self.texts[self.pos]
+        operand = self.operands.get(text)
+        if operand is None:
+            kind = self.kinds[text]
+            if kind == "NAME":
+                return self.parse_var()
+            if kind != "INT":
+                raise self.error(f"expected operand, found {self.token()}")
+            operand = self.operands[text] = Const(int(text))
+        self.pos += 1
+        return operand
 
     def parse_var(self) -> Var:
-        token = self.expect("NAME")
-        if token.text in _KEYWORDS or token.text in BINARY_OPS or token.text in UNARY_OPS:
-            raise self.error(f"reserved word used as variable: {token}", token)
-        name = token.text
-        if "." in name:
-            base, _, version = name.rpartition(".")
-            return Var(base, int(version))
-        return Var(name)
+        var = self.operands.get(self.texts[self.pos])
+        if var.__class__ is Var:
+            self.pos += 1
+            return var
+        index = self.pos
+        text = self.expect("NAME")
+        if text in _RESERVED:
+            raise self.error(
+                f"reserved word used as variable: {self.token(index)}", index
+            )
+        base, dot, version = text.rpartition(".")
+        var = self.operands[text] = Var(base, int(version)) if dot else Var(text)
+        return var
 
     def parse_array_name(self) -> str:
-        token = self.expect("NAME")
-        if token.text in _KEYWORDS or token.text in BINARY_OPS or token.text in UNARY_OPS:
+        index = self.pos
+        text = self.expect("NAME")
+        if text in _RESERVED:
             raise self.error(
-                f"reserved word used as array name: {token}", token
+                f"reserved word used as array name: {self.token(index)}", index
             )
-        if "." in token.text:
+        if "." in text:
             raise self.error(
-                f"array names carry no SSA version: {token}", token
+                f"array names carry no SSA version: {self.token(index)}", index
             )
-        return token.text
+        return text
 
 
 def parse_function(source: str) -> Function:

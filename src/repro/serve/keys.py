@@ -32,7 +32,7 @@ import hashlib
 from collections.abc import Iterable
 
 from repro.ir.function import Function
-from repro.ir.printer import format_function, normalize_versions
+from repro.ir.printer import format_function, normalize_versions, version_renumbering
 from repro.pipeline import PipelineConfig
 from repro.profiles.profile import ExecutionProfile
 
@@ -77,7 +77,9 @@ def function_fingerprint(func: Function) -> str:
     deliberately excluded: serving identical bodies under different names
     must share one artifact.
     """
-    normalized = normalize_versions(func)
+    # A prepared source function carries no SSA versions, so it already
+    # prints in normal form: skip the renumbered clone.
+    normalized = normalize_versions(func) if version_renumbering(func) else func
     text = format_function(normalized)
     # Drop the header line (it carries the function name); parameters and
     # the array environment are re-rendered separately — from the

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.bench.workloads import CFP2006, CINT2006, COMPOSITE, MEMORY, load_workload
+from repro.ir.printer import format_function, normalize_versions
 from repro.pipeline import PipelineConfig, prepare
 from repro.profiles.interp import run_function
 from repro.serve.keys import (
+    _digest,
     artifact_key,
     function_fingerprint,
     profile_fingerprint,
@@ -20,6 +23,22 @@ class TestFunctionFingerprint:
         assert function_fingerprint(func) == function_fingerprint(
             _shuffle_versions(func)
         )
+
+    @pytest.mark.parametrize("name", CINT2006 + CFP2006 + MEMORY + COMPOSITE)
+    def test_equals_the_normalized_print(self, name):
+        """The fingerprint prints a version-free function without cloning
+        it; the bytes must be those of ``format_function(normalize=True)``."""
+        prepared = prepare(load_workload(name).program.func)
+        for func in (prepared, as_ssa(prepared)):
+            normalized = normalize_versions(func)
+            body = format_function(func, normalize=True).split("\n", 1)[1]
+            params = ",".join(str(p) for p in normalized.params)
+            arrays = ",".join(
+                f"{array}:{length}" for array, length in sorted(func.arrays.items())
+            )
+            assert function_fingerprint(func) == _digest(
+                (f"params:{params}", f"arrays:{arrays}", body)
+            )
 
     def test_name_does_not_count(self):
         a = build_diamond()
