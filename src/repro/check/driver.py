@@ -37,6 +37,7 @@ from repro.core.worklist import DEFAULT_ITERATIVE_ROUNDS
 from repro.ir.function import Function
 from repro.ir.verifier import VerificationError, verify_function
 from repro.parallel import ParallelMapError, parallel_map
+from repro.passes.cache import AnalysisCache
 from repro.passes.compiler import VARIANTS, compile as compile_func
 from repro.pipeline import prepare
 from repro.profiles.interp import InterpreterError, run_function
@@ -294,6 +295,16 @@ def build_case(
                     f"conservation at {violations!r}",
                 )
             )
+    # Engine parity: the control also runs on the compiled engine, and
+    # every field of the two RunResults must agree (a derived profile
+    # can conserve flow and still be wrong).
+    _check_engine_parity(
+        result, "control", inputs, control_runs,
+        partial(
+            make_runner("compiled"), prepared, max_steps=max_steps,
+            cache=AnalysisCache(prepared),
+        ),
+    )
     if solver not in SOLVER_CHOICES:
         raise ValueError(
             f"unknown solver {solver!r}; expected one of {SOLVER_CHOICES}"
@@ -337,8 +348,6 @@ def build_case(
             out_func = fn(prepared.clone(), profile)
             verify_function(out_func)
             compiled[name] = out_func
-            from repro.passes.cache import AnalysisCache
-
             caches[name] = AnalysisCache(out_func)
         except VerificationError as exc:
             result.compile_failures.append(
@@ -350,8 +359,12 @@ def build_case(
             )
 
     variant_runs: dict[str, list] = {}
+    other_engine = make_runner(
+        "reference" if engine == "compiled" else "compiled"
+    )
     for name, func in compiled.items():
         runs: list = []
+        outcomes: list = []
         cache = caches.get(name)
         for i, args in enumerate(inputs):
             try:
@@ -364,7 +377,15 @@ def build_case(
                         f"run on input #{i} {args}: {exc!r}",
                     )
                 )
+                outcomes.append(exc)
+            else:
+                outcomes.append(runs[-1])
         variant_runs[name] = runs
+        if name == "mc-ssapre":
+            _check_engine_parity(
+                result, name, inputs, outcomes,
+                partial(other_engine, func, max_steps=max_steps, cache=cache),
+            )
         assert func.entry is not None
         for i, run in enumerate(runs):
             if run is None or not run.profile.edge_freq:
@@ -393,6 +414,56 @@ def build_case(
         max_steps=max_steps,
     )
     return result
+
+
+#: What engine parity compares, in order: (failure category, field,
+#: view of a RunResult).
+_PARITY_FIELDS = (
+    ("compile", "observables", lambda run: run.observable()),
+    ("profile", "node_freq", lambda run: dict(run.profile.node_freq)),
+    ("profile", "edge_freq", lambda run: dict(run.profile.edge_freq)),
+    ("profile", "expr_counts", lambda run: dict(run.expr_counts)),
+    ("profile", "dynamic_cost", lambda run: run.dynamic_cost),
+    ("profile", "steps", lambda run: run.steps),
+)
+
+
+def _engine_difference(first, second) -> tuple[str, str, object, object] | None:
+    """``(category, field, first view, second view)`` of the first
+    difference between two run outcomes — a RunResult, or the exception
+    the run raised — or ``None`` when they agree."""
+    if isinstance(first, Exception) or isinstance(second, Exception):
+        if type(first) is type(second) and str(first) == str(second):
+            return None
+        views = [
+            repr(o) if isinstance(o, Exception) else o.observable()
+            for o in (first, second)
+        ]
+        return "compile", "outcome", *views
+    for category, name, view in _PARITY_FIELDS:
+        a, b = view(first), view(second)
+        if a != b:
+            return category, name, a, b
+    return None
+
+
+def _check_engine_parity(result, name, inputs, outcomes, run_other) -> None:
+    """Re-run each input on the other engine; record every difference."""
+    for i, (args, outcome) in enumerate(zip(inputs, outcomes)):
+        try:
+            other = run_other(args)
+        except Exception as exc:  # noqa: BLE001 - compared, not raised
+            other = exc
+        difference = _engine_difference(outcome, other)
+        if difference is not None:
+            category, what, mine, theirs = difference
+            result.compile_failures.append(
+                OracleFailure(
+                    category, name, "engine-mismatch",
+                    f"input #{i} {args}: engines disagree on {what}: "
+                    f"{mine!r} vs {theirs!r}",
+                )
+            )
 
 
 def check_case(

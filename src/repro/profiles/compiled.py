@@ -30,19 +30,27 @@ call at all:
 * phis become parallel moves at the end of the predecessor's edge.
 
 Profile, cost and redundancy data are *derived* rather than recorded.
-In full counting the code keeps one local counter per block entry and
-one per taken conditional arm; a generated ``_derive`` function turns
-them into the per-block and per-edge counts after the run (a false
-arm's count is its block's entries minus its taken arm's).  With a
-certified probe placement (``probes=``) only the probed blocks count,
-and the profile is reconstructed by flow conservation.  Each statement
-of a block executes exactly once per block entry, so ``dynamic_cost``
-and ``expr_counts`` are linear in the block counts.  The step budget is one local sum,
-checked lazily — at every loop header, at the entry of any block that
-can raise, before any guarded phi move, at each dispatch, and once
-after the run — which is exact because no loop and no trap lies between
-the block entry where the reference interpreter would raise and the
-next check.  The result is a :class:`~repro.profiles.interp.RunResult`
+In full counting only the *chords* count: the CFG plus a virtual node ⊤
+(edges ⊤ → entry and return block → ⊤) gets a maximum-weight spanning
+tree, each edge weighted by the loop depth of its shallower end, and
+only the edges off the tree carry a local counter, bumped in the edge's
+code (Knuth; Ball–Larus; Chen et al., arXiv 2208.13907).  Every cycle
+holds a chord, so a loop pays about one increment per iteration.  An
+exit chord needs no counter at all — its ``return`` hands back 1 — and
+⊤ → entry is the constant 1.  A generated ``_derive`` then peels the
+tree leaves-first, one integer assignment per tree edge by flow
+conservation, and sums each block's in-edges.  With a certified probe
+placement (``probes=``) only the probed blocks count instead, and the
+profile is reconstructed by flow conservation.  Each statement of a
+block executes exactly once per block entry, so ``dynamic_cost`` and
+``expr_counts`` are linear in the block counts.  The step budget is one
+local sum, checked lazily — at every loop header, at the entry of any
+block that can raise, before any guarded phi move, at each dispatch,
+and once after the run — which is exact because no loop and no trap
+lies between the block entry where the reference interpreter would
+raise and the next check.  A structured loop header's steps are added
+with the preheader's and each back edge's, so an iteration pays one
+add.  The result is a :class:`~repro.profiles.interp.RunResult`
 bit-identical to the reference interpreter's (same ``dynamic_cost``,
 ``expr_counts``, ``profile``, ``steps``, observable behaviour, and the
 same :class:`~repro.profiles.interp.InterpreterError` messages), which
@@ -178,7 +186,7 @@ class CompiledProgram:
     #: counters)``, generated from :attr:`source`.  Pickled as its code
     #: object only (see "pickling" below).
     function: object = field(default=None, repr=False, compare=False)
-    #: ``_derive(*counters) -> (block counts, edge counts)`` in full
+    #: ``_derive(*chord counts) -> (block counts, edge counts)`` in full
     #: counting; ``None`` in sparse mode.  Pickled like :attr:`function`.
     derive: object = field(default=None, repr=False, compare=False)
 
@@ -339,6 +347,12 @@ def _tuple(items: list[str]) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
+def _sum(terms: list[str]) -> str:
+    if not terms:
+        return "0"
+    return terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
+
+
 def _literal(value) -> str:
     text = repr(value)
     return f"({text})" if text.startswith("-") else text
@@ -432,6 +446,12 @@ class _Codegen:
             for label in loop.blocks:
                 if label in reach:
                     self.innermost[label] = loop.header
+        header_depth = {h: loop.depth for h, loop in forest.loops.items()}
+        #: Loop-nesting depth of each reachable block (0: in no loop).
+        self.depth = {
+            label: header_depth.get(header, 0)
+            for label, header in self.innermost.items()
+        }
 
     def _place(self, roots: set[str]) -> None:
         """Assign every non-root block its place in the structured code.
@@ -501,54 +521,172 @@ class _Codegen:
             label: None for label in func.blocks
         }
         in_sets[func.entry] = entry_in
+        # Out-sets of the blocks reached so far; a sweep in reverse
+        # postorder sees every forward predecessor's final set.
+        outs = {func.entry: entry_in | defs[func.entry]}
+        order = self.dom.rpo[1:]
         changed = True
         while changed:
             changed = False
-            for label in func.blocks:
-                if label == func.entry:
-                    continue
+            for label in order:
                 meet: set[int] | None = None
                 for pred in preds[label]:
-                    pred_in = in_sets[pred]
-                    if pred_in is None:
-                        continue
-                    pred_out = pred_in | defs[pred]
-                    meet = pred_out if meet is None else meet & pred_out
+                    pred_out = outs.get(pred)
+                    if pred_out is not None:
+                        meet = pred_out if meet is None else meet & pred_out
                 if meet is not None and meet != in_sets[label]:
                     in_sets[label] = meet
+                    outs[label] = meet | defs[label]
                     changed = True
         return in_sets
 
     # -- counting -------------------------------------------------------
+    def _plan_chords(self) -> None:
+        """Choose the counted edges: the chords of a spanning tree.
+
+        The reachable CFG is augmented with a virtual node ⊤, an edge
+        ⊤ → entry carrying the run and an edge ⊤ ← b for each return
+        block b, so a successful run is a circulation.  Kruskal's
+        algorithm keeps a maximum-weight spanning tree, weighting each
+        edge by the loop depth of its shallower end (ties in ``_derive``
+        edge order, the exit edges last), so every cycle — every loop —
+        pays for one chord, placed as shallow as the cycle allows.  Only
+        the chords are counted; ⊤ → entry is the constant 1 (one run).
+        """
+        func = self.func
+        reach = self.rpo
+        #: ``_derive``-order edge indices of each block's terminator arms.
+        self.edge_ids: dict[str, range] = {}
+        #: Augmented edges: the real ones in ``_derive`` order, then one
+        #: ``(b, None)`` per reachable return block b.
+        edges: list[tuple[str, str | None]] = []
+        for label in self.labels:
+            succs = func.blocks[label].terminator.successors()
+            self.edge_ids[label] = range(len(edges), len(edges) + len(succs))
+            edges.extend((label, succ) for succ in succs)
+        n_real = len(edges)
+        self.chord_counter: dict[int, str] = {}
+        if self.probes is not None:
+            return  # sparse mode counts its probed blocks instead
+        depth = self.depth
+        ranked = [
+            (-min(depth[src], depth[dst]), k)
+            for k, (src, dst) in enumerate(edges)
+            if src in reach
+        ]
+        for label in self.dom.rpo:
+            if isinstance(func.blocks[label].terminator, Return):
+                ranked.append((0, len(edges)))
+                edges.append((label, None))
+        ranked.sort()
+
+        leader: dict[str | None, str | None] = {label: label for label in reach}
+        leader[None] = None
+        tree: list[int] = []
+        chords: list[int] = []
+        for _weight, k in ranked:
+            a, b = edges[k]
+            while leader[a] != a:
+                leader[a] = a = leader[leader[a]]
+            while leader[b] != b:
+                leader[b] = b = leader[leader[b]]
+            if a == b:
+                chords.append(k)
+            else:
+                leader[a] = b
+                tree.append(k)
+        chords.sort()  # ``_derive``'s parameters: real edges first
+        #: Counter local of each counted real edge.  Exit chords need no
+        #: local (a run leaves through one exit, once), so each ``return``
+        #: hands back the constants 1 / 0 in their place.
+        self.chord_counter = {k: f"_e{k}" for k in chords if k < n_real}
+        #: The return block of each exit chord, in ``_derive`` order.
+        self.exit_chords = [edges[k][0] for k in chords if k >= n_real]
+        self.derive_lines = self._derive_source(edges, n_real, tree, chords)
+
     def _counter_names(self) -> list[str]:
+        """The locals a run counts in, returned in this order."""
         if self.probes is not None:
             return [f"_p{self.index[v]}" for v in self.probes.probes]
-        reachable = [v for v in self.labels if v in self.rpo]
-        names = [f"_c{self.index[v]}" for v in reachable]
-        for label in reachable:
-            if isinstance(self.func.blocks[label].terminator, CondJump):
-                names.append(f"_t{self.index[label]}")
-        return names
+        return list(self.chord_counter.values())
 
-    def _derive_source(self, counters: list[str]) -> list[str]:
-        """``_derive``: block counts are the block counters; a jump edge
-        counts its source's entries, a true arm its taken counter and a
-        false arm the difference."""
-        nodes, edges = [], []
-        for label in self.labels:
-            live = label in self.rpo
-            i = self.index[label]
-            nodes.append(f"_c{i}" if live else "0")
-            term = self.func.blocks[label].terminator
-            if isinstance(term, Jump):
-                edges.append(f"_c{i}" if live else "0")
-            elif isinstance(term, CondJump):
-                edges.append(f"_t{i}" if live else "0")
-                edges.append(f"(_c{i} - _t{i})" if live else "0")
-        return [
-            f"def _derive({', '.join(counters)}):",
-            f" return {_tuple(nodes)}, {_tuple(edges)}",
+    def _returned(self, label: str) -> str:
+        """The counters tuple a ``return`` from *label* hands back."""
+        if self.probes is not None:
+            return self.counters
+        return _tuple([
+            *self.chord_counter.values(),
+            *("1" if block == label else "0" for block in self.exit_chords),
+        ])
+
+    def _derive_source(
+        self,
+        edges: list[tuple[str, str | None]],
+        n_real: int,
+        tree: list[int],
+        chords: list[int],
+    ) -> list[str]:
+        """``_derive``: every edge and block count from the chord counts.
+
+        Peeling the spanning tree leaves-first from ⊤, each tree edge's
+        flow is the one unknown term of its lower end's conservation
+        equation (in-flow = out-flow), so one assignment per tree edge
+        yields every flow; a block's count is its in-flow (plus the run,
+        for the entry).
+        """
+        names = [f"_e{k}" for k in range(len(edges))]
+        reach = self.rpo
+        entry = self.func.entry
+        # In- and out-flow terms per node (⊤ is None), the run included.
+        ins: dict[str | None, list[str]] = {label: [] for label in reach}
+        outs: dict[str | None, list[str]] = {label: [] for label in reach}
+        adjacent: dict[str | None, list[int]] = {label: [] for label in reach}
+        ins[None], adjacent[None] = [], []
+        ins[entry].append("1")
+        for k, (src, dst) in enumerate(edges):
+            if src in reach:
+                ins[dst].append(names[k])
+                outs[src].append(names[k])
+        for k in tree:
+            src, dst = edges[k]
+            adjacent[src].append(k)
+            adjacent[dst].append(k)
+
+        root = None if adjacent[None] else entry
+        order: list[tuple[str | None, int]] = []
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            for k in adjacent[node]:
+                src, dst = edges[k]
+                other = dst if src == node else src
+                if other not in seen:
+                    seen.add(other)
+                    order.append((other, k))
+                    frontier.append(other)
+
+        lines = [f"def _derive({', '.join(names[k] for k in chords)}):"]
+        for node, k in reversed(order):
+            dst = edges[k][1]
+            if dst is None:
+                continue  # an exit edge's flow is needed by no count
+            name = names[k]
+            flow_in = [t for t in ins[node] if t != name]
+            flow_out = [t for t in outs[node] if t != name]
+            if dst == node:
+                flow_in, flow_out = flow_out, flow_in
+            expr = _sum(flow_in)
+            if flow_out:
+                expr = f"{expr} - {_sum(flow_out)}"
+            lines.append(f" {name} = {expr}")
+
+        nodes = [_sum(ins[label]) if label in reach else "0" for label in self.labels]
+        real = [
+            names[k] if edges[k][0] in reach else "0" for k in range(n_real)
         ]
+        lines.append(f" return {_tuple(nodes)}, {_tuple(real)}")
+        return lines
 
     # -- expression lowering ------------------------------------------
     def _read(
@@ -639,8 +777,9 @@ class _Codegen:
                     )
                 else:
                     expr = self._read(rhs, defined, out, ind)
-                out.append(f"{ind}r{self.slot(stmt.target)} = {expr}")
-                defined.add(self.slot(stmt.target))
+                target = self.slot(stmt.target)
+                out.append(f"{ind}r{target} = {expr}")
+                defined.add(target)
             elif isinstance(stmt, Store):
                 # Mirrors the interpreter's evaluation order exactly:
                 # index read, bounds check, then the value read.
@@ -690,14 +829,28 @@ class _Codegen:
         else:
             out.append(f"{ind}continue")
 
-    def _edge(self, pred, succ, defined, depth, fall, loops, out) -> None:
-        """Transfer control along (pred, succ), phi moves first."""
+    def _edge(self, pred, succ, edge, defined, depth, fall, loops, out) -> None:
+        """Transfer control along edge *edge*, (pred, succ): count it if
+        it is a chord, then the phi moves."""
         ind = " " * depth
+        counter = self.chord_counter.get(edge)
+        if counter is not None:
+            out.append(f"{ind}{counter} += 1")
+        # A back edge to a structured loop header adds the header's steps
+        # with its own (as the preheader does), so an iteration pays one
+        # add; a region-dispatched header adds them itself.
+        folded = (
+            succ in self.parent
+            and succ not in self.roots
+            and self.dom.dominates(succ, pred)
+        )
+        if folded:
+            self.pending += self.weight[succ]
         moves, guarded = self._phi_moves(pred, succ, set(defined), ind)
         if guarded:
             # The reference interpreter checks the budget on entering
             # *succ*, before reading its phi arguments.
-            self._check(out, ind, self.weight[succ])
+            self._check(out, ind, 0 if folded else self.weight[succ])
         out.extend(moves)
         top = loops[-1] if loops else None
         if succ in self.roots:
@@ -741,33 +894,36 @@ class _Codegen:
         elif isinstance(term, CondJump):
             cond = self._read(term.cond, defined, body, ind)
 
-        if self.probes is None:
-            out.append(f"{ind}_c{i} += 1")
-        elif label in self.probes.probe_set:
+        if self.probes is not None and label in self.probes.probe_set:
             out.append(f"{ind}_p{i} += 1")
-        self.pending += self.weight[label]
+        if not header or label in self.roots:
+            # A structured header's steps were added on the way in.
+            self.pending += self.weight[label]
         if header or self.traps:
             self._check(out, ind)
         out.extend(body)
 
+        arms = self.edge_ids[label]
         if isinstance(term, Return):
             steps = f"s + {self.pending}" if self.pending else "s"
             self.pending = 0
-            out.append(f"{ind}return {value}, {steps}, {self.counters}")
+            out.append(f"{ind}return {value}, {steps}, {self._returned(label)}")
         elif isinstance(term, Jump):
-            self._edge(label, term.target, defined, depth, fall, loops, out)
+            self._edge(
+                label, term.target, arms[0], defined, depth, fall, loops, out
+            )
         else:
             pending = self.pending
             taken: list[str] = []
-            if self.probes is None:
-                taken.append(f"{ind} _t{i} += 1")
             self._edge(
-                label, term.true_target, defined, depth + 1, fall, loops, taken
+                label, term.true_target, arms[0], defined, depth + 1, fall,
+                loops, taken,
             )
             self.pending = pending
             other: list[str] = []
             self._edge(
-                label, term.false_target, defined, depth + 1, fall, loops, other
+                label, term.false_target, arms[1], defined, depth + 1, fall,
+                loops, other,
             )
             self.pending = 0
             if taken and other:
@@ -808,6 +964,8 @@ class _Codegen:
         ind = " " * depth
         outside = [c for c in self.outside.get(label, ()) if c not in self.roots]
         loop = _Loop(label, outside[0] if outside else fall)
+        if label not in self.roots:
+            self.pending += self.weight[label]
         self._flush(out, ind)
         out.append(f"{ind}while True:")
         loops.append(loop)
@@ -868,6 +1026,7 @@ class _Codegen:
         self.weight = {
             label: len(block.body) + 1 for label, block in func.blocks.items()
         }
+        self._plan_chords()
         counter_names = self._counter_names()
         self.counters = _tuple(counter_names)
         roots = set(self.irreducible)
@@ -897,7 +1056,7 @@ class _Codegen:
         lines.extend(body)
         if self.probes is None:
             lines.append("")
-            lines.extend(self._derive_source(counter_names))
+            lines.extend(self.derive_lines)
         source = "\n".join(lines) + "\n"
 
         edge_pairs: list[tuple[str, str]] = []

@@ -27,13 +27,18 @@ machinery solves the system at reconstruction time, so a placement
 certified here can never fail to reconstruct on consistent counts.
 
 CFGs in this code base are small (tens to a few hundred blocks) and the
-chord dimension — branches plus loops plus one — is smaller still, so
-exact rational elimination costs microseconds, not milliseconds.
+chord dimension — branches plus loops plus one — is smaller still, yet
+exact rational elimination over a served program's CFG still costs
+milliseconds (8–71 ms on the serve-warm programs), far more than the
+sparse run it reconstructs.  So :meth:`FlowSystem.solve` eliminates once
+per probe set and keeps every frequency as an integer functional of the
+counts; each later reconstruction is a few integer dot products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 #: The virtual outside-world node of the augmented flow graph.  ``None``
 #: can never collide with a real block label.
@@ -96,19 +101,28 @@ class Eliminator:
         return False
 
 
-def solve_affine(
-    rows: list[tuple[int, ...]],
-    rhs: list[int],
-    d: int,
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Solve ``rows · c = rhs`` exactly; return ``(c0, nullspace basis)``.
+#: A matrix of exact rationals, one list per row.
+_Matrix = list[list[Fraction]]
 
-    ``c0`` is the particular solution with every free coordinate zero.
-    Raises :class:`ReconstructionError` when the system is inconsistent.
+
+def eliminate(
+    rows: list[tuple[int, ...]], d: int
+) -> tuple[list[int], _Matrix, _Matrix, _Matrix]:
+    """Reduce ``rows · c = rhs`` exactly for a right-hand side yet unknown.
+
+    Gauss–Jordan elimination of ``[rows | I]``: the identity columns
+    record, per reduced row, the combination of right-hand-side entries
+    it now equates.  Returns ``(pivots, transforms, consistency,
+    basis)``: the pivot column of each nonzero reduced row; per pivot,
+    the right-hand-side combination its coordinate takes in the
+    particular solution (every free coordinate zero); per zero row, a
+    combination the right-hand side must annul for the system to be
+    consistent; and a basis of the nullspace.
     """
+    m = len(rows)
     aug = [
-        [Fraction(x) for x in row] + [Fraction(r)]
-        for row, r in zip(rows, rhs)
+        [Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(m)]
+        for i, row in enumerate(rows)
     ]
     pivots: list[int] = []
     r = 0
@@ -129,14 +143,8 @@ def solve_affine(
                 aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
-    for i in range(r, len(aug)):
-        if aug[i][d]:
-            raise ReconstructionError(
-                "probe counts are inconsistent with flow conservation"
-            )
-    c0 = [Fraction(0)] * d
-    for i, col in enumerate(pivots):
-        c0[col] = aug[i][d]
+    transforms = [aug[i][d:] for i in range(r)]
+    consistency = [aug[i][d:] for i in range(r, len(aug))]
     pivot_set = set(pivots)
     basis: list[list[Fraction]] = []
     for free_col in range(d):
@@ -147,7 +155,75 @@ def solve_affine(
         for i, col in enumerate(pivots):
             vec[col] = -aug[i][free_col]
         basis.append(vec)
-    return c0, basis
+    return pivots, transforms, consistency, basis
+
+
+def _integral(coefficients: list[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``(numerators, denominator)`` of a rational vector over one
+    common denominator, so evaluating it is integer arithmetic."""
+    den = 1
+    for c in coefficients:
+        den = lcm(den, c.denominator)
+    return tuple(int(c * den) for c in coefficients), den
+
+
+class _Solution:
+    """A probe set's solved system: each frequency as an integer
+    functional of the right-hand side ``(runs, probe counts…)``.
+
+    Everything here depends on the CFG and the probe set only, so it is
+    built once per probe tuple and every later solve is dot products.
+    """
+
+    def __init__(self, system: "FlowSystem", probes: tuple[str, ...]) -> None:
+        rows = [system.t_row] + [system.node_rows[v] for v in probes]
+        pivots, transforms, consistency, basis = eliminate(
+            rows, system.dimension
+        )
+        self.consistency = [_integral(row)[0] for row in consistency]
+
+        def functional(row: tuple[int, ...]):
+            """``None`` when *row* is free, else its integer functional."""
+            if any(_dot(row, vec) for vec in basis):
+                return None
+            coefficients = [Fraction(0)] * len(rows)
+            for col, transform in zip(pivots, transforms):
+                if row[col]:
+                    for k, t in enumerate(transform):
+                        coefficients[k] += row[col] * t
+            return _integral(coefficients)
+
+        #: Per block: its functional, or ``None`` if under-determined.
+        self.nodes = [
+            (label, functional(system.node_rows[label]))
+            for label in system.blocks
+        ]
+        #: The real edges up to the first under-determined one, and
+        #: whether every edge is determined.
+        self.edges: list[tuple[tuple[str, str], tuple]] = []
+        self.all_edges = True
+        for index, pair in enumerate(system.real_edges):
+            value = functional(tuple(c.get(index, 0) for c in system.chi))
+            if value is None:
+                self.all_edges = False
+                break
+            self.edges.append((pair, value))
+
+
+def _count(kind: str, name, functional, rhs: list[int]) -> int:
+    """The functional's value on *rhs*, which must be a non-negative
+    integer."""
+    numerators, den = functional
+    total = 0
+    for a, b in zip(numerators, rhs):
+        if a:
+            total += a * b
+    if total < 0 or total % den:
+        raise ReconstructionError(
+            f"{kind} {name!r} reconstructed to {Fraction(total, den)}, not a "
+            "non-negative integer: corrupt probe counts"
+        )
+    return total // den
 
 
 class FlowSystem:
@@ -176,6 +252,10 @@ class FlowSystem:
         for exit_label in self.exits:
             augmented.append((exit_label, VIRTUAL))
         self.edges: tuple[tuple[object, object], ...] = tuple(augmented)
+        #: Probe tuple -> its solved system (see :meth:`solve`).  Threads
+        #: that race to fill an entry build equal solutions, so the race
+        #: costs only the duplicate work.
+        self._solutions: dict[tuple[str, ...], _Solution] = {}
         self._build_tree()
         self._build_rows()
 
@@ -273,50 +353,31 @@ class FlowSystem:
         ``probe_counts`` maps probed labels to observed execution counts;
         missing labels read as 0 (a probe that never fired).  Raises
         :class:`ReconstructionError` on inconsistent, under-determined or
-        non-integral systems — never a silently wrong profile.
+        non-integral systems — never a silently wrong profile.  The
+        elimination runs once per probe tuple; later solves reuse it.
         """
-        rows = [self.t_row] + [self.node_rows[v] for v in probes]
+        solution = self._solutions.get(probes)
+        if solution is None:
+            solution = self._solutions[probes] = _Solution(self, probes)
         rhs = [runs] + [int(probe_counts.get(v, 0)) for v in probes]
-        c0, basis = solve_affine(rows, rhs, self.dimension)
+        for row in solution.consistency:
+            if sum(a * b for a, b in zip(row, rhs)):
+                raise ReconstructionError(
+                    "probe counts are inconsistent with flow conservation"
+                )
 
         node_freq: dict[str, int] = {}
-        for label in self.blocks:
-            row = self.node_rows[label]
-            for vec in basis:
-                if _dot(row, vec):
-                    raise ReconstructionError(
-                        f"block {label!r} is under-determined by probes "
-                        f"{list(probes)!r}"
-                    )
-            value = _dot(row, c0)
-            if value.denominator != 1 or value < 0:
+        for label, functional in solution.nodes:
+            if functional is None:
                 raise ReconstructionError(
-                    f"block {label!r} reconstructed to {value}, not a "
-                    "non-negative integer: corrupt probe counts"
+                    f"block {label!r} is under-determined by probes "
+                    f"{list(probes)!r}"
                 )
-            node_freq[label] = int(value)
+            node_freq[label] = _count("block", label, functional, rhs)
 
-        edge_freq: dict[tuple[str, str], int] | None = {}
-        for index, (src, dst) in enumerate(self.real_edges):
-            free = any(
-                any(
-                    cycle.get(index, 0) and vec[j]
-                    for j, cycle in enumerate(self.chi)
-                )
-                and _dot(
-                    tuple(c.get(index, 0) for c in self.chi), vec
-                )
-                for vec in basis
-            )
-            if free:
-                edge_freq = None
-                break
-            value = _dot(tuple(c.get(index, 0) for c in self.chi), c0)
-            if value.denominator != 1 or value < 0:
-                raise ReconstructionError(
-                    f"edge {(src, dst)!r} reconstructed to {value}, not a "
-                    "non-negative integer: corrupt probe counts"
-                )
+        edge_freq: dict[tuple[str, str], int] = {}
+        for pair, functional in solution.edges:
+            value = _count("edge", pair, functional, rhs)
             if value:
-                edge_freq[(src, dst)] = int(value)
-        return node_freq, edge_freq
+                edge_freq[pair] = value
+        return node_freq, edge_freq if solution.all_edges else None

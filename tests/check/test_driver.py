@@ -165,6 +165,45 @@ class TestProfileValidation:
         assert stats.per_oracle["profile"] == [0, 1]
         assert stats.by_kind["flow-violation"] == 1
 
+    @pytest.mark.parametrize(
+        "skew, category, field",
+        [
+            (lambda run: setattr(run, "steps", run.steps + 1), "profile", "steps"),
+            (lambda run: run.expr_counts.clear(), "profile", "expr_counts"),
+            (lambda run: run.output.append(0), "compile", "observables"),
+        ],
+    )
+    def test_engine_mismatch_is_classified(self, monkeypatch, skew, category, field):
+        # A compiled engine whose results drift from the reference in one
+        # field, with every profile still conserving flow: the control and
+        # the main mc-ssapre variant are both re-run on the other engine.
+        from repro.profiles.compiled import CompiledProgram
+
+        run = CompiledProgram.run
+
+        def skewed(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            skew(result)
+            return result
+
+        monkeypatch.setattr(CompiledProgram, "run", skewed)
+        result = build_case(0, "cint")
+        found = {
+            (f.oracle, f.variant)
+            for f in result.compile_failures
+            if f.kind == "engine-mismatch" and f"disagree on {field}" in f.detail
+        }
+        assert found == {(category, "control"), (category, "mc-ssapre")}
+        assert not any(
+            f.kind == "flow-violation" for f in result.compile_failures
+        )
+
+    def test_healthy_engines_agree(self):
+        result = build_case(1, "mem")
+        assert not [
+            f for f in result.compile_failures if f.kind == "engine-mismatch"
+        ]
+
     def test_profile_failures_replay_without_oracles(self):
         # Like "compile" findings, "profile" findings are recorded by
         # build_case itself — the reducer predicate must not ask for a

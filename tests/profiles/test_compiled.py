@@ -17,6 +17,7 @@ from repro.bench.generator import generate_program
 from repro.check.driver import case_inputs, spec_for_shape
 from repro.check.oracles import stale_bytecode_copy
 from repro.ir.builder import FunctionBuilder
+from repro.ir.instructions import CondJump
 from repro.passes.cache import AnalysisCache
 from repro.passes.compiler import compile as compile_func
 from repro.pipeline import prepare
@@ -499,6 +500,139 @@ def _inverted_do_while():
     return b.build()
 
 
+def _loop_on_false_arm():
+    # A whole loop on the entry's false arm: its header is entered
+    # inline from that arm and left on its own false arm.
+    b = FunctionBuilder("armloop", params=["p", "n"])
+    b.block("entry")
+    b.copy("i", 0)
+    b.assign("c", "lt", "p", 0)
+    b.branch("c", "done", "head")
+    b.block("head")
+    b.assign("i", "add", "i", 1)
+    b.output("i")
+    b.assign("t", "lt", "i", "n")
+    b.branch("t", "head", "done")
+    b.block("done")
+    b.ret("i")
+    return b.build()
+
+
+def _multi_exit():
+    # A loop left through two different returns.
+    b = FunctionBuilder("twoexit", params=["n", "k"])
+    b.block("entry")
+    b.copy("i", 0)
+    b.jump("head")
+    b.block("head")
+    b.assign("c", "lt", "i", "n")
+    b.branch("c", "body", "out")
+    b.block("body")
+    b.assign("i", "add", "i", 1)
+    b.assign("hit", "eq", "i", "k")
+    b.branch("hit", "early", "head")
+    b.block("early")
+    b.output("i")
+    b.ret("i")
+    b.block("out")
+    b.ret(0)
+    return b.build()
+
+
+def _no_exit():
+    # No return block at all: every run ends in the step budget.
+    b = FunctionBuilder("forever", params=["p"])
+    b.block("entry")
+    b.copy("i", "p")
+    b.jump("head")
+    b.block("head")
+    b.assign("i", "add", "i", 1)
+    b.assign("c", "and", "i", 1)
+    b.branch("c", "odd", "head")
+    b.block("odd")
+    b.output("i")
+    b.jump("head")
+    return b.build()
+
+
+def _same_target_branch():
+    # A conditional jump whose arms reach the same block: two static
+    # edges with one (src, dst) pair.
+    b = FunctionBuilder("sametarget", params=["p", "n"])
+    b.block("entry")
+    b.copy("i", 0)
+    b.jump("head")
+    b.block("head")
+    b.assign("c", "and", "i", "p")
+    b.branch("c", "next", "next")
+    b.block("next")
+    b.assign("i", "add", "i", 1)
+    b.assign("t", "lt", "i", "n")
+    b.branch("t", "head", "done")
+    b.block("done")
+    b.ret("i")
+    return b.build()
+
+
+def _self_loop():
+    b = FunctionBuilder("selfloop", params=["n"])
+    b.block("entry")
+    b.copy("i", 0)
+    b.jump("spin")
+    b.block("spin")
+    b.assign("i", "add", "i", 1)
+    b.assign("t", "lt", "i", "n")
+    b.branch("t", "spin", "done")
+    b.block("done")
+    b.output("i")
+    b.ret("i")
+    return b.build()
+
+
+def _irreducible_with_exits():
+    # Two-entry cycle whose blocks each also return: region dispatch
+    # with the exits inside the regions.
+    b = FunctionBuilder("irrexit", params=["p", "n"])
+    b.block("entry")
+    b.copy("x", 0)
+    b.assign("c", "and", "p", 1)
+    b.branch("c", "a", "b")
+    b.block("a")
+    b.assign("x", "add", "x", 3)
+    b.assign("t", "lt", "x", "n")
+    b.branch("t", "b", "ra")
+    b.block("b")
+    b.assign("x", "add", "x", 5)
+    b.assign("t", "lt", "x", "n")
+    b.branch("t", "a", "rb")
+    b.block("ra")
+    b.ret("x")
+    b.block("rb")
+    b.output("x")
+    b.ret(0)
+    return b.build()
+
+
+def _with_unreachable():
+    # Blocks no path reaches, one of them jumping into a live block.
+    b = FunctionBuilder("deadcode", params=["n"])
+    b.block("entry")
+    b.copy("i", 0)
+    b.jump("head")
+    b.block("dead")
+    b.copy("i", 99)
+    b.jump("head")
+    b.block("head")
+    b.assign("i", "add", "i", 1)
+    b.assign("t", "lt", "i", "n")
+    b.branch("t", "head", "done")
+    b.block("deader")
+    b.ret(7)
+    b.block("done")
+    b.ret("i")
+    return b.build()
+
+
 def _outcome(run, args, budget):
     try:
         return "ok", run(args, budget)
@@ -507,13 +641,14 @@ def _outcome(run, args, budget):
 
 
 def _assert_engines_match(func, cases):
-    """Every production form of *func*'s lowering against the reference."""
-    from repro.profiles.probes import place_probes
+    """Every production form of *func*'s lowering against the reference
+    (certified-probe counting only where a placement exists)."""
+    from repro.profiles.probes import try_place_probes
 
-    full = compile_function(func)
-    programs = {"full": full, "probes": compile_function(
-        func, probes=place_probes(func)
-    )}
+    programs = {"full": compile_function(func)}
+    placement, _reason = try_place_probes(func)
+    if placement is not None:
+        programs["probes"] = compile_function(func, probes=placement)
     for mode, program in list(programs.items()):
         programs[f"{mode}-pickled"] = pickle.loads(pickle.dumps(program))
         programs[f"{mode}-stale"] = stale_bytecode_copy(program)
@@ -614,6 +749,120 @@ class TestHardShapes:
         cases = [([9, n], budget) for budget in range(1, before_load + 4)]
         cases += [([i, n], MAX_STEPS) for i in (-1, 0, 3, 4)]
         _assert_engines_match(func, cases)
+
+
+    def test_budget_on_a_loop_entered_from_a_false_arm(self):
+        cases = [([p, n], MAX_STEPS) for p in (-1, 0) for n in (0, 1, 6)]
+        cases += [([0, 6], budget) for budget in range(1, 40)]
+        _assert_engines_match(_loop_on_false_arm(), cases)
+
+
+# -- chord counting -----------------------------------------------------------
+SHAPES_WITH_EXITS = {
+    "multi-exit": (
+        _multi_exit, [[n, k] for n in (0, 3, 8) for k in (-1, 2, 5)]
+    ),
+    "same-target": (_same_target_branch, [[p, n] for p in (0, 1) for n in (0, 1, 7)]),
+    "self-loop": (_self_loop, [[n] for n in (-2, 0, 1, 9)]),
+    "irreducible": (
+        _irreducible_with_exits, [[p, n] for p in (0, 1) for n in (0, 9, 40)]
+    ),
+    "unreachable": (_with_unreachable, [[n] for n in (0, 1, 6)]),
+}
+
+
+#: A step budget the serve-warm programs' ref runs fit in.
+SERVE_STEPS = 2_000_000
+
+
+def _counters(program, args, max_steps=MAX_STEPS):
+    """The counter tuple one run hands to ``_derive``."""
+    from repro.ir.memory import initial_array
+
+    arrays = [initial_array(name, length) for name, length in program.arrays]
+    return program.function(max_steps, [].append, *args, *arrays)[2]
+
+
+def _chord_count(func):
+    """|E'| - |V'| + 1 of the augmented reachable CFG, less the constant
+    edge ⊤ -> entry."""
+    from repro.ir.cfg import CFG
+
+    reachable = set(CFG(func).reverse_postorder())
+    edges = sum(
+        len(func.blocks[v].terminator.successors()) for v in reachable
+    )
+    exits = sum(not func.blocks[v].terminator.successors() for v in reachable)
+    if not exits:  # ⊤ is cut off: a spanning tree of the real blocks
+        return edges - len(reachable) + 1
+    return edges + exits - len(reachable)
+
+
+class TestChordCounting:
+    """Only the edges off a spanning tree count; everything else is
+    derived, and must still match the reference bit for bit."""
+
+    def test_while_loop_bumps_one_counter_per_iteration(self):
+        from tests.conftest import build_while_loop
+
+        # Prepared, the loop is rotated behind a guard, so the first trip
+        # is the base; every further trip is one counted event.
+        for func in (build_while_loop(), prepare(build_while_loop())):
+            program = compile_function(func)
+            base = sum(_counters(program, [2, 3, 1]))
+            for n in (2, 3, 10):
+                assert sum(_counters(program, [2, 3, n])) == base + n - 1
+
+    @pytest.mark.parametrize("name", sorted(SHAPES_WITH_EXITS) + ["no-exit"])
+    def test_counter_count_equals_chord_count(self, name):
+        build = _no_exit if name == "no-exit" else SHAPES_WITH_EXITS[name][0]
+        func = build()
+        program = compile_function(func)
+        chords = _chord_count(func)
+        assert program.derive.__code__.co_argcount == chords
+        if name != "no-exit":
+            assert len(_counters(program, SHAPES_WITH_EXITS[name][1][0])) == chords
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corpus_counter_count_equals_chord_count(self, shape, seed):
+        spec = spec_for_shape(shape, seed)
+        prepared = prepare(generate_program(spec).func)
+        program = compile_function(prepared)
+        counters = _counters(program, case_inputs(spec)[0])
+        assert len(counters) == _chord_count(prepared)
+
+    @pytest.mark.parametrize("name", ["gromacs", "lbm", "milc", "namd", "wrf"])
+    def test_serve_warm_programs_count_under_30_percent(self, name):
+        # The five CFP2006 programs the serve-warm benchmark serves.
+        # Full counting paid one event per block entry plus one per
+        # taken conditional arm.
+        from repro.bench.workloads import load_workload
+
+        workload = load_workload(name)
+        prepared = prepare(workload.program.func)
+        program = compile_function(prepared)
+        events = sum(_counters(program, workload.ref_args, SERVE_STEPS))
+        got = program.run(workload.ref_args, max_steps=SERVE_STEPS)
+        taken = sum(
+            got.profile.edge_freq[(label, term.true_target)]
+            for label, block in prepared.blocks.items()
+            if isinstance(term := block.terminator, CondJump)
+            and term.true_target != term.false_target
+        )
+        full = sum(got.profile.node_freq.values()) + taken
+        assert events <= 0.30 * full, (events, full)
+
+    @pytest.mark.parametrize("name", sorted(SHAPES_WITH_EXITS))
+    def test_shape_parity(self, name):
+        build, arg_sets = SHAPES_WITH_EXITS[name]
+        cases = [(args, MAX_STEPS) for args in arg_sets]
+        cases += [(arg_sets[-1], budget) for budget in (1, 5, 12, 30, 80)]
+        _assert_engines_match(build(), cases)
+
+    def test_no_exit_parity(self):
+        cases = [([p], budget) for p in (0, 1) for budget in (1, 9, 50, 400)]
+        _assert_engines_match(_no_exit(), cases)
 
 
 class TestInlineOperators:

@@ -258,6 +258,14 @@ class TestLoudFailures:
         with pytest.raises(ReconstructionError):
             reconstruct_profile(redundant, {"left": 1, "right": 1}, runs=1)
 
+    def test_negative_reconstruction_raises(self):
+        # One run cannot take the diamond's probed arm twice: the other
+        # arm would have run -1 times.
+        placement = place_probes(build_diamond())
+        (probe,) = placement.probes
+        with pytest.raises(ReconstructionError, match="non-negative"):
+            reconstruct_profile(placement, {probe: 2}, runs=1)
+
     def test_counts_for_unprobed_blocks_rejected(self):
         placement = place_probes(build_diamond())
         with pytest.raises(ValueError):
@@ -306,8 +314,36 @@ class TestSparseCompiledProgram:
         placement = place_probes(prepared)
         program = compile_function(prepared, probes=placement)
         # The generated source bumps exactly one counter per probe and
-        # carries no block-entry or taken-arm counters at all.
+        # carries none of full counting's chord counters.
         bumped = re.findall(r"\b(_[a-z]\d+) \+= 1\n", program.source)
         assert sorted(bumped) == sorted(
             f"_p{program.labels.index(label)}" for label in placement.probes
         )
+
+
+class TestSolveOnce:
+    def test_repeated_solves_eliminate_once(self, monkeypatch):
+        from repro.profiles.probes import flowsys
+
+        calls = []
+        eliminate = flowsys.eliminate
+
+        def counting(*args):
+            calls.append(args)
+            return eliminate(*args)
+
+        monkeypatch.setattr(flowsys, "eliminate", counting)
+        func = build_while_loop()
+        placement = place_probes(func)
+        system = flowsys.FlowSystem(*cfg_shape(func))
+        for args in ([2, 3, 0], [2, 3, 5], [1, 1, 9]):
+            want = run_function(func, args).profile
+            counts = {v: want.node_freq[v] for v in placement.probes}
+            nodes, edges = system.solve(placement.probes, counts, 1)
+            assert {v: n for v, n in nodes.items() if n} == dict(
+                want.node_freq
+            )
+            assert edges == dict(want.edge_freq)
+        assert len(calls) == 1
+        system.solve(placement.blocks, {}, 0)
+        assert len(calls) == 2
