@@ -158,7 +158,15 @@ def main(argv: list[str] | None = None) -> int:
 
     artifacts: list[str] = []
     for result in failing:
+        # The reducer's predicate matches only (oracle, kind, variant),
+        # so one reduction and one artifact serve every failure of a
+        # triple (one per input, typically).
+        distinct = {}
         for failure in result.failures:
+            distinct.setdefault(
+                (failure.oracle, failure.kind, failure.variant), failure
+            )
+        for failure in distinct.values():
             reduction = None
             if not args.no_reduce and result.case is not None:
                 predicate = failure_predicate(

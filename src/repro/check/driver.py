@@ -277,15 +277,11 @@ def build_case(
         return result
 
     profile = control_runs[0].profile
-    # Every fuzzed profile is flow-conservation checked automatically
-    # (ISSUE satellite of docs/PROFILING.md): the interpreter's counting
-    # must satisfy Kirchhoff's law at every non-entry block.  Profiles
-    # without edge data (reconstructed ones that left edges
-    # under-determined) have nothing to cross-check.
+    # Every fuzzed profile is flow-conservation checked automatically:
+    # the interpreter's counting must satisfy Kirchhoff's law at every
+    # non-entry block.
     assert prepared.entry is not None
     for i, run in enumerate(control_runs):
-        if not run.profile.edge_freq:
-            continue
         violations = run.profile.check_flow_conservation(prepared.entry)
         if violations:
             result.compile_failures.append(

@@ -26,13 +26,12 @@ profile, and every compiled variant):
   bit-identically to the cold compile — same observables, dynamic cost,
   step count and per-expression counts on every input.  The claim that
   makes content-addressed serving sound.
-* **probes** — *reconstruction exactness*: running under minimum
-  coverage instrumentation (:mod:`repro.profiles.probes` — count only
-  the probe set, solve flow conservation for the rest) must reproduce
-  the full-counting node frequencies bit-for-bit on every input, in
-  both the reference interpreter and the compiled back end, with the
-  probe count inside the spanning-tree bound ``|E| − |V| + 1``.  The
-  claim that makes sparse profiling a safe default.
+* **probes** — *minimum coverage*: the compiled engine counts only the
+  chords of a spanning tree (:mod:`repro.profiles.compiled`), at most
+  ``|E| − |V| + max(R, 1)`` edges over the reachable CFG with R return
+  blocks, and derives every other block and edge count by flow
+  conservation.  The derived counts themselves are compared with the
+  reference interpreter's by the driver's engine parity check.
 
 Oracles only *observe*; the fuzz driver (:mod:`repro.check.driver`) builds
 the case, and the reducer (:mod:`repro.check.reducer`) shrinks whatever
@@ -541,101 +540,30 @@ def cache_consistency_oracle(case: CheckCase) -> OracleReport:
 
 
 def probes_oracle(case: CheckCase) -> OracleReport:
-    """Sparse profiling reconstructs full counting bit-for-bit.
+    """The compiled engine counts no more edges than a spanning tree
+    leaves out.
 
-    Places the minimum coverage probe set on the prepared function
-    (weighted by the training profile, as the serving path does), then
-    runs every case input through both execution engines in sparse mode
-    and requires: node frequencies identical to the full-counting
-    control runs as plain dicts; dynamic cost, expression counts, step
-    counts and observables identical; edge frequencies identical
-    whenever reconstruction determines them; and the probe count inside
-    the spanning-tree bound.  A CFG the placement refuses (multi-exit
-    etc.) passes vacuously — the fallback *is* full counting — but a
-    refusal of a single-exit CFG is a failure: the certified envelope
-    must not silently shrink.
+    Lowers the control program and requires its counted edges (the
+    chords, :attr:`~repro.profiles.compiled.CompiledProgram.chords`) to
+    stay within :func:`~repro.profiles.compiled.chord_bound`, the fewest
+    counters that determine every block and edge count.  That the
+    derived counts equal the reference interpreter's is the driver's
+    engine parity check, run on every case.
     """
-    # Local import like the cache oracle: the probes subsystem layers on
+    # Local import like the cache oracle: the compiled engine layers on
     # top of the profiles core the oracles already use.
-    from repro.profiles.compiled import compile_function
-    from repro.profiles.probes import try_place_probes
+    from repro.profiles.compiled import chord_bound, compile_function
 
     report = OracleReport("probes")
-    placement, reason = try_place_probes(case.prepared, profile=case.profile)
     report.checks += 1
-    if placement is None:
-        from repro.ir.cfg import CFG
-
-        if reason == "multi-exit" and len(CFG(case.prepared).exit_labels()) > 1:
-            return report  # certified fallback; nothing to compare
+    counted = len(compile_function(case.prepared).chords)
+    bound = chord_bound(case.prepared)
+    if counted > bound:
         report.fail(
-            "control", "probe-refusal",
-            f"placement refused a coverable CFG: {reason}",
+            "control", "chord-bound",
+            f"{counted} counted edges exceed the spanning-tree bound "
+            f"|E| - |V| + max(R, 1) = {bound}",
         )
-        return report
-    if len(placement.probes) > placement.bound:
-        report.fail(
-            "control", "probe-bound",
-            f"{len(placement.probes)} probes exceed spanning-tree bound "
-            f"{placement.bound} (|E|={placement.n_edges}, "
-            f"|V|={len(placement.blocks)})",
-        )
-        return report
-
-    program = compile_function(case.prepared, probes=placement)
-    for i, args in enumerate(case.inputs):
-        control = case.control_runs[i]
-        for engine, run_sparse in (
-            (
-                "reference",
-                lambda a: run_function(
-                    case.prepared, list(a), case.max_steps, probes=placement
-                ),
-            ),
-            ("compiled", lambda a: program.run(list(a), case.max_steps)),
-        ):
-            report.checks += 1
-            try:
-                sparse = run_sparse(args)
-            except Exception as exc:  # noqa: BLE001 - classified below
-                report.fail(
-                    engine, "crash",
-                    f"input #{i} {args}: sparse run raised "
-                    f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            if dict(sparse.profile.node_freq) != dict(control.profile.node_freq):
-                report.fail(
-                    engine, "reconstruction-divergence",
-                    f"input #{i} {args}: reconstructed node_freq "
-                    f"{dict(sparse.profile.node_freq)!r} != full counting "
-                    f"{dict(control.profile.node_freq)!r}",
-                )
-                continue
-            if sparse.profile.edge_freq and (
-                dict(sparse.profile.edge_freq)
-                != dict(control.profile.edge_freq)
-            ):
-                report.fail(
-                    engine, "reconstruction-divergence",
-                    f"input #{i} {args}: reconstructed edge_freq "
-                    f"{dict(sparse.profile.edge_freq)!r} != full counting "
-                    f"{dict(control.profile.edge_freq)!r}",
-                )
-                continue
-            if (
-                sparse.observable() != control.observable()
-                or sparse.dynamic_cost != control.dynamic_cost
-                or sparse.steps != control.steps
-                or dict(sparse.expr_counts) != dict(control.expr_counts)
-            ):
-                report.fail(
-                    engine, "divergence",
-                    f"input #{i} {args}: sparse mode changed measured "
-                    f"behaviour (cost {sparse.dynamic_cost} vs "
-                    f"{control.dynamic_cost}, steps {sparse.steps} vs "
-                    f"{control.steps})",
-                )
     return report
 
 

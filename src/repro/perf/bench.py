@@ -36,9 +36,8 @@ from repro.passes.stages import (
     MCSSAPREPass,
 )
 from repro.pipeline import prepare
-from repro.profiles.compiled import compile_function
+from repro.profiles.compiled import chord_bound, compile_function
 from repro.profiles.interp import RunResult, run_function
-from repro.profiles.probes import run_probed, try_place_probes
 from repro.profiles.profile import ExecutionProfile
 
 #: Version of the BENCH.json layout (documented in docs/PERF.md).
@@ -75,8 +74,12 @@ from repro.profiles.profile import ExecutionProfile
 #: with the reconstructed delta pinned to zero).  v9 moved the
 #: top-level "quick"/"repeat" into "section_runs" (each section's own
 #: quick/repeat), so ``--only`` can merge sections into an existing
-#: record.
-BENCH_SCHEMA_VERSION = 9
+#: record.  v10 retargeted the "profiling" section at chord counting,
+#: the compiled engine's only counting path: each row records the
+#: counted edges against ``|E| - |V| + max(R, 1)`` and chord events
+#: against full events, and the quality study's "reconstructed" column
+#: trains on the compiled engine's chord-derived profile.
+BENCH_SCHEMA_VERSION = 10
 
 #: Step budget for the measured runs (matches the pipeline default).
 MAX_STEPS = 5_000_000
@@ -406,22 +409,22 @@ def bench_memory(names: tuple[str, ...], repeat: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Profiling: minimum-coverage probe placement vs full counting.
+# Profiling: chord counting vs full counting.
 # ----------------------------------------------------------------------
 
 #: Workloads for the profiling section: the head of each generated
-#: suite, so the probe bound and reconstruction parity are checked on
+#: suite, so the chord bound and derived-profile parity are checked on
 #: integer, floating-point and memory-shaped CFGs alike.
 PROFILING_WORKLOADS = CINT2006[:3] + CFP2006[:3] + MEMORY
 QUICK_PROFILING_WORKLOADS = (CINT2006[0], CFP2006[0], MEMORY[0])
 
 #: Counting-event floor: full counting must perform at least this many
-#: times more counter increments than the probe set across the whole
+#: times more counter increments than chord counting across the whole
 #: suite.  Events, not wall time — the event ratio is deterministic
 #: (full counting bumps one node and one edge counter per block entry;
-#: a probed run bumps one counter per *probed* block entry) so the gate
-#: cannot flake on a loaded CI machine.  Wall times are recorded per
-#: row but never gated.
+#: a chord-counted run bumps one counter per traversal of a counted
+#: edge) so the gate cannot flake on a loaded CI machine.  Wall times
+#: are recorded per row but never gated.
 PROFILING_MIN_EVENT_RATIO = 2.0
 
 #: Sampling period for the profile-quality study: the "sampled" profile
@@ -429,35 +432,6 @@ PROFILING_MIN_EVENT_RATIO = 2.0
 #: timer-based profiler that sees one event in ``period`` — small
 #: counts quantise to zero and cold-path structure is lost.
 PROFILING_SAMPLE_PERIOD = 64
-
-
-def _sparse_mismatches(full: RunResult, sparse: RunResult) -> list[str]:
-    """``runresult_mismatches`` with the reconstruction contract applied.
-
-    A reconstructed profile reports ``edge_freq`` all-or-nothing: when
-    some real edge is not determined by the probe measurements the whole
-    table is empty rather than partial.  Everything else — observables,
-    node frequencies, dynamic cost, expression counts, steps — must be
-    bit-identical to full counting.
-    """
-    out = []
-    if full.return_value != sparse.return_value:
-        out.append("return_value")
-    if full.output != sparse.output:
-        out.append("output")
-    if dict(full.profile.node_freq) != dict(sparse.profile.node_freq):
-        out.append("profile.node_freq")
-    if sparse.profile.edge_freq and (
-        dict(full.profile.edge_freq) != dict(sparse.profile.edge_freq)
-    ):
-        out.append("profile.edge_freq")
-    if full.dynamic_cost != sparse.dynamic_cost:
-        out.append("dynamic_cost")
-    if dict(full.expr_counts) != dict(sparse.expr_counts):
-        out.append("expr_counts")
-    if full.steps != sparse.steps:
-        out.append("steps")
-    return out
 
 
 def _sampled_profile(
@@ -478,23 +452,25 @@ def _sampled_profile(
 
 
 def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
-    """Minimum-coverage probe placement: coverage, parity, quality.
+    """Chord counting: coverage, parity, quality.
 
-    Per workload: place probes weighted by the training profile, run the
-    ref input under full counting and under probes on *both* engines,
-    and gate (a) the spanning-tree bound ``probes <= |E| - |V| + 1``,
-    (b) bit-identical reconstructed results (:func:`_sparse_mismatches`),
-    (c) the suite-aggregate counting-event ratio.  The quality study
-    then compiles MC-SSAPRE under exact / reconstructed / sampled /
-    stale training profiles and measures the dynamic-cost delta on the
-    training input; exact reconstruction must cost nothing (delta 0),
-    while the sampled and stale columns quantify what cheaper profiling
-    strategies give up.
+    Per workload: lower the prepared function, run the ref input on
+    both engines and gate (a) the counted edges within
+    :func:`~repro.profiles.compiled.chord_bound`, (b) the chord-derived
+    result bit-identical to the reference interpreter's full counting,
+    (c) the suite-aggregate counting-event ratio.  A run's chord events
+    are the traversals of its counted real edges; an exit chord costs
+    no increment (its ``return`` hands the count back).  The quality
+    study then compiles MC-SSAPRE under exact / reconstructed / sampled
+    / stale training profiles and measures the dynamic-cost delta on
+    the training input: "exact" is the reference interpreter's profile,
+    "reconstructed" the compiled engine's chord-derived one, which must
+    cost nothing (delta 0), while the sampled and stale columns
+    quantify what cheaper profiling strategies give up.
     """
     rows = []
-    fallbacks = []
     quality = []
-    total_full_events = total_probe_events = 0
+    total_full_events = total_chord_events = 0
     bounds_ok = True
     equivalent = True
     quality_ok = True
@@ -503,81 +479,53 @@ def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
         prepared = prepare(workload.program.func)
         args = workload.ref_args
         train_args = workload.train_args
+        program = compile_function(prepared)
+        full_ref = run_function(prepared, args, max_steps=MAX_STEPS)
+        compiled_s, chord_ref = _best_of(
+            repeat, lambda: program.run(args, max_steps=MAX_STEPS)
+        )
+        mismatches = runresult_mismatches(full_ref, chord_ref)
+        equivalent = equivalent and not mismatches
+        n_real = len(program.edge_pairs)
+        counted = program.chords
+        bound = chord_bound(prepared)
+        bound_ok = len(counted) <= bound
+        bounds_ok = bounds_ok and bound_ok
+        edge_freq = full_ref.profile.edge_freq
+        full_events = (
+            sum(full_ref.profile.node_freq.values())
+            + sum(edge_freq.values())
+        )
+        chord_events = sum(
+            edge_freq[program.edge_pairs[k]] for k in counted if k < n_real
+        )
+        total_full_events += full_events
+        total_chord_events += chord_events
+        rows.append({
+            "name": name,
+            "blocks": len(program.labels),
+            "edges": n_real,
+            "chords": len(counted),
+            "bound": bound,
+            "bound_ok": bound_ok,
+            "full_events": full_events,
+            "chord_events": chord_events,
+            "event_ratio": round(full_events / max(chord_events, 1), 2),
+            "compiled_s": round(compiled_s, 6),
+            "mismatches": mismatches,
+        })
+
         exact = run_function(
             prepared, train_args, max_steps=MAX_STEPS
         ).profile
-        placement, reason = try_place_probes(prepared, profile=exact)
-        if placement is not None:
-            full_ref_s, full_ref = _best_of(
-                repeat,
-                lambda: run_function(prepared, args, max_steps=MAX_STEPS),
-            )
-            probed_ref_s, probed_ref = _best_of(
-                repeat,
-                lambda: run_function(
-                    prepared, args, max_steps=MAX_STEPS, probes=placement
-                ),
-            )
-            program_full = compile_function(prepared)
-            program_sparse = compile_function(prepared, probes=placement)
-            full_compiled_s, _full_compiled = _best_of(
-                repeat, lambda: program_full.run(args, max_steps=MAX_STEPS)
-            )
-            probed_compiled_s, probed_compiled = _best_of(
-                repeat, lambda: program_sparse.run(args, max_steps=MAX_STEPS)
-            )
-            mismatches = sorted(set(
-                _sparse_mismatches(full_ref, probed_ref)
-                + _sparse_mismatches(full_ref, probed_compiled)
-            ))
-            equivalent = equivalent and not mismatches
-            bound_ok = len(placement.probes) <= placement.bound
-            bounds_ok = bounds_ok and bound_ok
-            full_events = (
-                sum(full_ref.profile.node_freq.values())
-                + sum(full_ref.profile.edge_freq.values())
-            )
-            probe_events = sum(
-                full_ref.profile.node_freq.get(label, 0)
-                for label in placement.probes
-            )
-            total_full_events += full_events
-            total_probe_events += probe_events
-            rows.append({
-                "name": name,
-                "blocks": len(placement.blocks),
-                "edges": placement.n_edges,
-                "probes": len(placement.probes),
-                "bound": placement.bound,
-                "bound_ok": bound_ok,
-                "full_events": full_events,
-                "probe_events": probe_events,
-                "event_ratio": round(
-                    full_events / max(probe_events, 1), 2
-                ),
-                "reference_full_s": round(full_ref_s, 6),
-                "reference_probed_s": round(probed_ref_s, 6),
-                "compiled_full_s": round(full_compiled_s, 6),
-                "compiled_probed_s": round(probed_compiled_s, 6),
-                "mismatches": mismatches,
-            })
-        else:
-            fallbacks.append({"name": name, "reason": reason})
-
-        probed_train = run_probed(
-            prepared, train_args, MAX_STEPS, profile=exact
-        )
-        reconstructed = probed_train.result.profile
+        reconstructed = program.run(train_args, max_steps=MAX_STEPS).profile
         sampled = _sampled_profile(exact, PROFILING_SAMPLE_PERIOD)
-        stale = run_function(
-            prepared, workload.ref_args, max_steps=MAX_STEPS
-        ).profile
         costs = {}
         for label, prof in (
             ("exact", exact),
             ("reconstructed", reconstructed),
             ("sampled", sampled),
-            ("stale", stale),
+            ("stale", full_ref.profile),
         ):
             compiled = compile_func(prepared, "mc-ssapre", prof)
             costs[label] = run_function(
@@ -595,16 +543,14 @@ def bench_profiling(names: tuple[str, ...], repeat: int) -> dict:
             "delta_reconstructed": deltas["reconstructed"],
             "delta_sampled": deltas["sampled"],
             "delta_stale": deltas["stale"],
-            "fallback": probed_train.fallback_reason,
             "ok": row_ok,
         })
 
-    event_ratio = total_full_events / max(total_probe_events, 1)
+    event_ratio = total_full_events / max(total_chord_events, 1)
     return {
         "workloads": rows,
-        "fallbacks": fallbacks,
         "total_full_events": total_full_events,
-        "total_probe_events": total_probe_events,
+        "total_chord_events": total_chord_events,
         "event_ratio": round(event_ratio, 2),
         "min_event_ratio": PROFILING_MIN_EVENT_RATIO,
         "bounds_ok": bounds_ok,

@@ -168,9 +168,9 @@ def main(argv: list[str] | None = None) -> int:
             profiling = payload["profiling"]
             for row in profiling["workloads"]:
                 print(f"profiling: {row['name']:<10} "
-                      f"{row['probes']}/{row['blocks']} probes "
+                      f"{row['chords']}/{row['edges']} edges counted "
                       f"(bound {row['bound']})  events "
-                      f"{row['full_events']} -> {row['probe_events']} "
+                      f"{row['full_events']} -> {row['chord_events']} "
                       f"({row['event_ratio']}x)")
             for row in profiling["quality"]:
                 print(f"profiling: {row['name']:<10} quality delta "
@@ -182,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"bounds_ok={profiling['bounds_ok']} "
                   f"equivalent={profiling['equivalent']} "
                   f"quality_ok={profiling['quality_ok']} "
-                  f"fallbacks={len(profiling['fallbacks'])} "
                   f"(ok={profiling['ok']})")
         print(f"wrote {args.out}")
     if not payload["ok"]:

@@ -47,17 +47,8 @@ PAPER_VARIANTS = ("ssapre", "ssapre-sp", "mc-ssapre")
 #: kept as the differential oracle.
 ENGINES = ("compiled", "reference")
 
-#: Profiling modes for the train path.  "full" counts every node and
-#: edge; "probes" instruments only the minimum coverage probe set
-#: (repro.profiles.probes) and reconstructs node frequencies by flow
-#: conservation — bit-identical, so the two modes produce the same
-#: compiled code.  Probes silently falls back to full counting on CFG
-#: shapes outside the certified envelope (multi-exit etc.).
-PROFILING_MODES = ("full", "probes")
-
 __all__ = [
     "ENGINES",
-    "PROFILING_MODES",
     "VARIANTS",
     "PAPER_VARIANTS",
     "CompiledFunction",
@@ -306,7 +297,6 @@ def run_experiment(
     max_steps: int = 5_000_000,
     engine: str = "compiled",
     rounds: int = 1,
-    profiling: str = "full",
 ) -> Experiment:
     """Prepare, profile with the train input, compile variants, measure.
 
@@ -315,31 +305,14 @@ def run_experiment(
     selects the execution back end (both produce bit-identical
     :class:`RunResult` data; "reference" is the differential oracle).
     ``rounds`` is forwarded to the SSA-based variants (iterative
-    worklist); CFG baselines ignore it and stay one-shot.  ``profiling``
-    selects how the *train* run counts: ``"full"`` instruments every
-    node and edge, ``"probes"`` only the minimum coverage probe set
-    (:mod:`repro.profiles.probes`), reconstructing identical node
-    frequencies — so the optimisation decisions, and therefore the
-    compiled variants, cannot differ between the two modes.
+    worklist); CFG baselines ignore it and stay one-shot.
     """
     from repro.passes.cache import AnalysisCache
 
-    if profiling not in PROFILING_MODES:
-        raise ValueError(
-            f"unknown profiling mode {profiling!r}; "
-            f"expected one of {PROFILING_MODES}"
-        )
     execute = make_runner(engine)
     prepared = prepare(source, restructure=restructure)
     prepared_cache = AnalysisCache(prepared)
-    if profiling == "probes":
-        from repro.profiles.probes import run_probed
-
-        train = run_probed(
-            prepared, train_args, max_steps, engine=engine
-        ).result
-    else:
-        train = execute(prepared, train_args, max_steps, cache=prepared_cache)
+    train = execute(prepared, train_args, max_steps, cache=prepared_cache)
     experiment = Experiment(prepared=prepared, train_result=train)
 
     reference = execute(prepared, ref_args, max_steps, cache=prepared_cache)

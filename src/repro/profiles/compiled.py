@@ -39,9 +39,7 @@ holds a chord, so a loop pays about one increment per iteration.  An
 exit chord needs no counter at all — its ``return`` hands back 1 — and
 ⊤ → entry is the constant 1.  A generated ``_derive`` then peels the
 tree leaves-first, one integer assignment per tree edge by flow
-conservation, and sums each block's in-edges.  With a certified probe
-placement (``probes=``) only the probed blocks count instead, and the
-profile is reconstructed by flow conservation.  Each statement of a
+conservation, and sums each block's in-edges.  Each statement of a
 block executes exactly once per block entry, so ``dynamic_cost`` and
 ``expr_counts`` are linear in the block counts.  The step budget is one
 local sum, checked lazily — at every loop header, at the entry of any
@@ -155,9 +153,9 @@ class CompiledProgram:
     #: deterministic initial contents, so runs never share (and never
     #: re-observe) mutated memory.
     arrays: list[tuple[str, int]] = field(default_factory=list, repr=False)
-    #: Generated Python source defining ``_run`` (and, in full counting,
-    #: ``_derive``).  Together with :attr:`op_keys` and :attr:`messages`
-    #: it is all :meth:`_load` needs to regenerate the functions, so it is
+    #: Generated Python source defining ``_run`` and ``_derive``.
+    #: Together with :attr:`op_keys` and :attr:`messages` it is all
+    #: :meth:`_load` needs to regenerate the functions, so it is
     #: the portable truth a pickle carries next to the bytecode (see
     #: "pickling" below; the artifact cache of :mod:`repro.serve.store`
     #: relies on this).
@@ -167,13 +165,6 @@ class CompiledProgram:
     op_keys: list[str] = field(default_factory=list, repr=False)
     #: Interned error messages referenced by the generated guards.
     messages: list[str] = field(default_factory=list, repr=False)
-    #: Sparse-instrumentation mode: the certified
-    #: :class:`~repro.profiles.probes.placement.ProbePlacement` this
-    #: program was lowered against, or ``None`` for full counting.  In
-    #: sparse mode only the probed blocks increment a counter and the
-    #: node-frequency profile is reconstructed by flow conservation after
-    #: the run.  Plain data, pickles with the artifact.
-    probes: object = None
     #: Optional live-profiling hook: called with the derived node-
     #: frequency :class:`~collections.Counter` after every successful
     #: run.  Costs one ``is not None`` test per run when unset.  The
@@ -186,8 +177,8 @@ class CompiledProgram:
     #: counters)``, generated from :attr:`source`.  Pickled as its code
     #: object only (see "pickling" below).
     function: object = field(default=None, repr=False, compare=False)
-    #: ``_derive(*chord counts) -> (block counts, edge counts)`` in full
-    #: counting; ``None`` in sparse mode.  Pickled like :attr:`function`.
+    #: ``_derive(*chord counts) -> (block counts, edge counts)``.
+    #: Pickled like :attr:`function`.
     derive: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -219,7 +210,18 @@ class CompiledProgram:
         code = compile(self.source, f"<compiled {self.name}>", "exec")
         exec(code, namespace)  # noqa: S102 - self-generated trusted source
         self.function = namespace["_run"]
-        self.derive = namespace.get("_derive")
+        self.derive = namespace["_derive"]
+
+    @property
+    def chords(self) -> list[int]:
+        """``_derive``-order indices of the counted edges: its parameters.
+
+        A real chord indexes :attr:`edge_pairs`; an exit chord (return
+        block → ⊤, whose count the ``return`` hands back) is numbered
+        past them.
+        """
+        code = self.derive.__code__
+        return [int(name[2:]) for name in code.co_varnames[: code.co_argcount]]
 
     # -- pickling ------------------------------------------------------
     # Functions do not pickle, but their code objects marshal.  A pickle
@@ -238,10 +240,9 @@ class CompiledProgram:
         state["function"] = None
         state["derive"] = None
         state["profile_hook"] = None
-        derive = None if self.derive is None else self.derive.__code__
         state["bytecode"] = (
             MAGIC_NUMBER,
-            marshal.dumps((self.function.__code__, derive)),
+            marshal.dumps((self.function.__code__, self.derive.__code__)),
         )
         return state
 
@@ -256,8 +257,7 @@ class CompiledProgram:
             else:
                 namespace = self._namespace()
                 self.function = types.FunctionType(run_code, namespace)
-                if derive_code is not None:
-                    self.derive = types.FunctionType(derive_code, namespace)
+                self.derive = types.FunctionType(derive_code, namespace)
                 return
         self._load()
 
@@ -287,30 +287,16 @@ class CompiledProgram:
                 f"{self.name}: exceeded {max_steps} interpreted steps"
             )
 
-        labels = self.labels
-        if self.probes is None:
-            nodes, edges = self.derive(*counters)
-            node_freq: Counter[str] = Counter()
-            for label, count in zip(labels, nodes):
-                if count:
-                    node_freq[label] = count
-            edge_freq: Counter[tuple[str, str]] = Counter()
-            for pair, count in zip(self.edge_pairs, edges):
-                if count:
-                    edge_freq[pair] += count
-            profile = ExecutionProfile(
-                node_freq=node_freq, edge_freq=edge_freq
-            )
-        else:
-            # Local import: the probes package depends on this module's
-            # RunResult, so binding at call time avoids a cycle.
-            from repro.profiles.probes.reconstruct import reconstruct_profile
-
-            profile = reconstruct_profile(
-                self.probes, dict(zip(self.probes.probes, counters)), runs=1
-            )
-            node_freq = profile.node_freq
-            nodes = [node_freq.get(label, 0) for label in labels]
+        nodes, edges = self.derive(*counters)
+        node_freq: Counter[str] = Counter()
+        for label, count in zip(self.labels, nodes):
+            if count:
+                node_freq[label] = count
+        edge_freq: Counter[tuple[str, str]] = Counter()
+        for pair, count in zip(self.edge_pairs, edges):
+            if count:
+                edge_freq[pair] += count
+        profile = ExecutionProfile(node_freq=node_freq, edge_freq=edge_freq)
 
         cost = 0
         expr_counts: dict[tuple, int] = {}
@@ -374,22 +360,13 @@ class _Loop:
 class _Codegen:
     """Lowers one function to Python source + metadata tables."""
 
-    def __init__(self, func: Function, probes=None) -> None:
+    def __init__(self, func: Function) -> None:
         assert func.entry is not None
         self.func = func
         self.labels = list(func.blocks)
-        self.index = {label: i for i, label in enumerate(self.labels)}
         self.slots: dict[Var, int] = {}
         self.op_index: dict[str, int] = {}
         self.arrays = {name: f"m{i}" for i, name in enumerate(func.arrays)}
-        self.probes = probes
-        if probes is not None:
-            unknown = [v for v in probes.probes if v not in func.blocks]
-            if unknown:
-                raise ValueError(
-                    f"placement probes {unknown!r} are not blocks of "
-                    f"{func.name!r}"
-                )
         self._analyse_cfg()
         self.in_sets = self._definitely_assigned()
 
@@ -565,9 +542,6 @@ class _Codegen:
             self.edge_ids[label] = range(len(edges), len(edges) + len(succs))
             edges.extend((label, succ) for succ in succs)
         n_real = len(edges)
-        self.chord_counter: dict[int, str] = {}
-        if self.probes is not None:
-            return  # sparse mode counts its probed blocks instead
         depth = self.depth
         ranked = [
             (-min(depth[src], depth[dst]), k)
@@ -604,16 +578,8 @@ class _Codegen:
         self.exit_chords = [edges[k][0] for k in chords if k >= n_real]
         self.derive_lines = self._derive_source(edges, n_real, tree, chords)
 
-    def _counter_names(self) -> list[str]:
-        """The locals a run counts in, returned in this order."""
-        if self.probes is not None:
-            return [f"_p{self.index[v]}" for v in self.probes.probes]
-        return list(self.chord_counter.values())
-
     def _returned(self, label: str) -> str:
         """The counters tuple a ``return`` from *label* hands back."""
-        if self.probes is not None:
-            return self.counters
         return _tuple([
             *self.chord_counter.values(),
             *("1" if block == label else "0" for block in self.exit_chords),
@@ -876,7 +842,6 @@ class _Codegen:
     def _block(self, label, depth, fall, loops, out, header=False) -> None:
         """One block's code: count, steps, body, terminator."""
         self.emitted.append(label)
-        i = self.index[label]
         ind = " " * depth
         block = self.func.blocks[label]
         initial = self.in_sets[label]
@@ -894,8 +859,6 @@ class _Codegen:
         elif isinstance(term, CondJump):
             cond = self._read(term.cond, defined, body, ind)
 
-        if self.probes is not None and label in self.probes.probe_set:
-            out.append(f"{ind}_p{i} += 1")
         if not header or label in self.roots:
             # A structured header's steps were added on the way in.
             self.pending += self.weight[label]
@@ -1027,8 +990,6 @@ class _Codegen:
             label: len(block.body) + 1 for label, block in func.blocks.items()
         }
         self._plan_chords()
-        counter_names = self._counter_names()
-        self.counters = _tuple(counter_names)
         roots = set(self.irreducible)
         while True:
             self._place(roots)
@@ -1051,12 +1012,11 @@ class _Codegen:
                 lines.append(f" r{self.slot(param.base)} = {arg}")
         for index in sorted(self.guarded):
             lines.append(f" r{index} = _U")
-        for name in [*counter_names, "s"]:
+        for name in [*self.chord_counter.values(), "s"]:
             lines.append(f" {name} = 0")
         lines.extend(body)
-        if self.probes is None:
-            lines.append("")
-            lines.extend(self.derive_lines)
+        lines.append("")
+        lines.extend(self.derive_lines)
         source = "\n".join(lines) + "\n"
 
         edge_pairs: list[tuple[str, str]] = []
@@ -1104,21 +1064,31 @@ class _Codegen:
             source=source,
             op_keys=list(self.op_index),
             messages=self.messages,
-            probes=self.probes,
         )
 
 
-def compile_function(func: Function, probes=None) -> CompiledProgram:
-    """Lower *func* to a :class:`CompiledProgram` (no caching).
+def chord_bound(func: Function) -> int:
+    """|E| − |V| + max(R, 1) over the reachable CFG of *func*.
 
-    With *probes* (a certified
-    :class:`~repro.profiles.probes.placement.ProbePlacement` for this
-    function) the program is lowered in sparse-instrumentation mode:
-    only the probed blocks carry a counter increment, and the profile is
-    reconstructed by flow conservation after each run — node
-    frequencies bit-identical to full counting.
+    R counts the reachable return blocks; each arm of a branch is an
+    edge.  This is the cycle rank of the CFG augmented with ⊤ (one edge
+    from each return block), hence the number of chords of any spanning
+    tree of it — the fewest counters that determine every block and
+    edge count.  With no return block ⊤ is isolated and the CFG's own
+    cycle rank |E| − |V| + 1 remains.
     """
-    return _Codegen(func, probes).compile()
+    reach = CFG(func).reverse_postorder()
+    n_edges = returns = 0
+    for label in reach:
+        succs = func.blocks[label].terminator.successors()
+        n_edges += len(succs)
+        returns += not succs
+    return n_edges - len(reach) + max(returns, 1)
+
+
+def compile_function(func: Function) -> CompiledProgram:
+    """Lower *func* to a :class:`CompiledProgram` (no caching)."""
+    return _Codegen(func).compile()
 
 
 def run_compiled(

@@ -62,22 +62,11 @@ def run_function(
     func: Function,
     args: list[int] | None = None,
     max_steps: int = 2_000_000,
-    *,
-    probes=None,
 ) -> RunResult:
     """Execute *func* and collect profile + cost data.
 
     ``max_steps`` bounds the number of executed statements so runaway
     loops in generated programs fail fast instead of hanging the suite.
-
-    With *probes* (a :class:`~repro.profiles.probes.placement.
-    ProbePlacement` for this function's CFG) the run counts only the
-    probed blocks and reconstructs the full ``node_freq`` by flow
-    conservation afterwards — bit-identical to full counting, but
-    without the per-block and per-edge counter traffic.  ``edge_freq``
-    is then populated only when the probe set determines every edge;
-    dynamic cost, expression counts and steps are computed by the
-    execution itself and are unaffected.
     """
     args = args or []
     if len(args) != len(func.params):
@@ -99,11 +88,6 @@ def run_function(
     }
 
     profile = ExecutionProfile()
-    probe_counts: Counter[str] | None = None
-    probe_set: frozenset[str] = frozenset()
-    if probes is not None:
-        probe_counts = Counter()
-        probe_set = probes.probe_set
     output: list[int] = []
     expr_counts: Counter[tuple] = Counter()
     cost = 0
@@ -134,12 +118,9 @@ def run_function(
             raise InterpreterError(
                 f"{func.name}: exceeded {max_steps} interpreted steps"
             )
-        if probe_counts is None:
-            profile.node_freq[label] += 1
-            if prev_label is not None:
-                profile.edge_freq[(prev_label, label)] += 1
-        elif label in probe_set:
-            probe_counts[label] += 1
+        profile.node_freq[label] += 1
+        if prev_label is not None:
+            profile.edge_freq[(prev_label, label)] += 1
 
         if block.phis:
             if prev_label is None:
@@ -206,12 +187,6 @@ def run_function(
             )
         else:  # pragma: no cover - verifier prevents this
             raise InterpreterError(f"unknown terminator {term!r}")
-
-    if probe_counts is not None:
-        # Local import: the probes package depends on this module.
-        from repro.profiles.probes.reconstruct import reconstruct_profile
-
-        profile = reconstruct_profile(probes, probe_counts, runs=1)
 
     return RunResult(
         return_value=return_value,

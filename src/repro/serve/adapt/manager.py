@@ -82,21 +82,6 @@ class AdaptConfig:
     min_samples: int = DEFAULT_MIN_SAMPLES
     #: Live-profile weight budget before exponential decay halves it.
     max_weight: int = DEFAULT_MAX_WEIGHT
-    #: Profiling mode for promoted/recompiled artifacts: "full" keeps
-    #: classic per-edge counting; "probes" lowers compiled artifacts in
-    #: sparse-instrumentation mode (repro.profiles.probes) so the live
-    #: profile is fed by flow-conservation reconstructions — identical
-    #: node frequencies, a fraction of the counter traffic.
-    profiling: str = "full"
-
-    def __post_init__(self) -> None:
-        from repro.pipeline import PROFILING_MODES
-
-        if self.profiling not in PROFILING_MODES:
-            raise ValueError(
-                f"unknown profiling mode {self.profiling!r}; "
-                f"expected one of {PROFILING_MODES}"
-            )
 
     def policy(self) -> TierPolicy:
         return TierPolicy(warmup=self.warmup)
@@ -249,22 +234,16 @@ class AdaptationManager:
         return rows
 
     # -- the feedback loop ---------------------------------------------
-    def _fold(self, state: _KeyState, node_freq, probed: bool = False) -> None:
+    def _fold(self, state: _KeyState, node_freq) -> None:
         """Fold one run's node counts into the key's live profile.
 
         This is also the closure installed as the compiled program's
         ``profile_hook``: it reads ``state.live`` at call time, so a hot
         swap (which resets the accumulator) retargets every in-flight
-        hook automatically.  ``probed`` marks counts that arrived as a
-        flow-conservation reconstruction from sparse probes rather than
-        full counting — same numbers, cheaper collection — so operators
-        can see which profiling tier fed the live profile.
+        hook automatically.
         """
         state.live.fold(node_freq)
         self.service.metrics.inc("live_samples")
-        if probed:
-            self.service.metrics.inc("live_probe_samples")
-            self.service.metrics.inc("profile_reconstructions")
 
     def record_interp(self, state: _KeyState, result: RunResult) -> None:
         """Account one tier-0 (interpreter) run; maybe schedule promotion."""
@@ -333,13 +312,6 @@ class AdaptationManager:
                 profile=profile,
             )
             self.service.metrics.inc("recompiles")
-            # profiling passed only when non-default so injected test
-            # builds (which predate the knob) keep their signature.
-            extra = (
-                {"profiling": self.config.profiling}
-                if self.config.profiling != "full"
-                else {}
-            )
             artifact = self.service.build_keyed(
                 key,
                 lambda: self.service._build(
@@ -349,7 +321,6 @@ class AdaptationManager:
                     engine=state.engine,
                     profile=profile,
                     max_steps=state.max_steps,
-                    **extra,
                 ),
             )
             if artifact is None or artifact.degraded:
@@ -378,11 +349,8 @@ class AdaptationManager:
         if artifact.program is not None:
             # Wire live profiling into block dispatch before publication
             # so no compiled run can ever slip through unprofiled.
-            probed = getattr(artifact.program, "probes", None) is not None
             artifact.program.profile_hook = (
-                lambda freq, _state=state, _probed=probed: self._fold(
-                    _state, freq, probed=_probed
-                )
+                lambda freq, _state=state: self._fold(_state, freq)
             )
         with state.lock:
             previous = state.binding

@@ -17,10 +17,11 @@ import threading
 #: 2: adaptation counters (live profiles, drift, hot swaps, tiering).
 #: 3: cluster counters (plan cache, cross-process single-flight) and
 #:    per-histogram p50/p95/p99 summaries.
-#: 4: minimum-coverage profiling counters (live_probe_samples,
-#:    profile_reconstructions) — which tier of profiling served a
-#:    request (repro.profiles.probes).
-METRICS_SCHEMA = 4
+#: 4: sparse-profiling counters (live_probe_samples,
+#:    profile_reconstructions).
+#: 5: those two dropped with the sparse mode: every compiled run
+#:    counts chords and derives its profile the same way.
+METRICS_SCHEMA = 5
 
 #: The percentiles every histogram export carries, as fractions.
 PERCENTILES = (0.5, 0.95, 0.99)
@@ -60,9 +61,6 @@ COUNTERS = (
     "plan_hits",         # requests answered from the per-worker plan cache
     "lock_rehydrates",   # cross-process race losers served from disk
     "lock_breaks",       # stale cross-process build locks broken
-    # -- minimum-coverage profiling (repro.profiles.probes) ------------
-    "live_probe_samples",       # live-profile folds fed by sparse probes
-    "profile_reconstructions",  # flow-conservation solves of probe counts
 )
 
 __all__ = [

@@ -41,7 +41,6 @@ from repro.ir.function import Function
 from repro.lang.parser import parse_function
 from repro.pipeline import (
     ENGINES,
-    PROFILING_MODES,
     PipelineConfig,
     compile_variant,
     make_runner,
@@ -87,21 +86,6 @@ class CompileRequest:
     #: "auto"); "auto" is cache-keyed by the solver it resolves to.
     solver: str = "mincut"
     max_steps: int = DEFAULT_MAX_STEPS
-    #: Profiling mode for the training run and the served program:
-    #: "full" counts every node and edge; "probes" instruments only the
-    #: minimum coverage probe set (repro.profiles.probes) and
-    #: reconstructs exact node frequencies by flow conservation.
-    #: Deliberately *not* part of the artifact key: reconstruction is
-    #: bit-exact, so both modes produce observationally identical
-    #: artifacts and may share cache entries.
-    profiling: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.profiling not in PROFILING_MODES:
-            raise ValueError(
-                f"unknown profiling mode {self.profiling!r}; "
-                f"expected one of {PROFILING_MODES}"
-            )
 
     def config(self) -> PipelineConfig:
         return PipelineConfig(
@@ -192,7 +176,6 @@ def build_artifact(
     train_args: tuple[int, ...] | None = None,
     profile: ExecutionProfile | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    profiling: str = "full",
 ) -> Artifact:
     """Cold-build one artifact: train, optimise, lower.  Pure — no cache.
 
@@ -205,23 +188,9 @@ def build_artifact(
     snapshot here).  Compile failures degrade to the prepared function on
     the reference interpreter rather than raising: a served answer must
     exist for every well-formed program.
-
-    ``profiling="probes"`` applies minimum-coverage profiling twice:
-    the training run counts only the probe set (reconstructed node
-    frequencies are bit-identical, so the compiled code cannot differ),
-    and the served compiled program itself is lowered in sparse mode —
-    probes placed on the *optimised* function, weighted by the training
-    profile so its hot blocks stay uninstrumented.  CFG shapes outside
-    the certified envelope fall back to full counting silently; the
-    artifact's ``profiling`` field records what actually shipped.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if profiling not in PROFILING_MODES:
-        raise ValueError(
-            f"unknown profiling mode {profiling!r}; "
-            f"expected one of {PROFILING_MODES}"
-        )
     if profile is not None and train_args is not None:
         raise ValueError("pass either train_args or profile, not both")
     train_profile = profile if config.needs_profile else None
@@ -231,17 +200,8 @@ def build_artifact(
                 f"variant {config.variant!r} is profile-guided and needs "
                 "train_args or an explicit profile"
             )
-        if profiling == "probes":
-            from repro.profiles.probes import run_probed
-
-            train_profile = run_probed(
-                prepared, list(train_args), max_steps, engine=engine
-            ).result.profile
-        else:
-            runner = make_runner(engine)
-            train_profile = runner(
-                prepared, list(train_args), max_steps
-            ).profile
+        runner = make_runner(engine)
+        train_profile = runner(prepared, list(train_args), max_steps).profile
     train_node_freq = (
         dict(train_profile.node_freq) if train_profile is not None else None
     )
@@ -260,18 +220,8 @@ def build_artifact(
             train_node_freq=train_node_freq,
         )
     program = None
-    served_profiling = "full"
     if engine == "compiled":
-        placement = None
-        if profiling == "probes":
-            from repro.profiles.probes import try_place_probes
-
-            placement, _reason = try_place_probes(
-                compiled.func, profile=train_profile
-            )
-            if placement is not None:
-                served_profiling = "probes"
-        program = compile_function(compiled.func, probes=placement)
+        program = compile_function(compiled.func)
     report = compiled.report.to_dict() if compiled.report is not None else None
     return Artifact(
         key=key,
@@ -281,7 +231,6 @@ def build_artifact(
         program=program,
         report=report,
         train_node_freq=train_node_freq,
-        profiling=served_profiling,
     )
 
 
@@ -446,12 +395,6 @@ class CompileService:
             )
         execute_s = time.perf_counter() - t_exec
         self.metrics.observe("execute_s", execute_s)
-        if (
-            artifact.program is not None
-            and getattr(artifact.program, "probes", None) is not None
-        ):
-            # The run counted only probes and solved for the rest.
-            self.metrics.inc("profile_reconstructions")
 
         return ServeResponse(
             status="ok",
@@ -625,13 +568,6 @@ class CompileService:
         self.metrics.inc("misses")
 
         def thunk() -> Artifact:
-            # profiling is passed only when non-default so injected test
-            # builds (which predate the knob) keep their signature.
-            extra = (
-                {"profiling": request.profiling}
-                if request.profiling != "full"
-                else {}
-            )
             return self._build(
                 prepared,
                 config,
@@ -639,7 +575,6 @@ class CompileService:
                 engine=request.engine,
                 train_args=request.train_args,
                 max_steps=request.max_steps,
-                **extra,
             )
 
         future = self._executor.submit(self._run_build, key, flight, thunk)

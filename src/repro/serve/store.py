@@ -56,7 +56,9 @@ from repro.profiles.compiled import CompiledProgram
 #:    changed with it).
 #: 5: programs pickle their marshalled bytecode, and disk files frame
 #:    the pickle with a header and a digest (see :class:`DiskStore`).
-ARTIFACT_SCHEMA = 5
+#: 6: ``profiling`` is gone and every program counts chords (a schema-5
+#:    entry lowered in the retired sparse mode has no ``_derive``).
+ARTIFACT_SCHEMA = 6
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -92,12 +94,6 @@ class Artifact:
     #: (``None`` for profile-free variants).  The adaptation tier scores
     #: live traffic against exactly this baseline to detect drift.
     train_node_freq: dict[str, int] | None = None
-    #: Instrumentation mode of the served program: "full" counting, or
-    #: minimum-coverage "probes" (sparse counters + flow-conservation
-    #: reconstruction; see repro.profiles.probes).  Both modes produce
-    #: bit-identical RunResults, so this is provenance, not identity —
-    #: it is deliberately absent from the artifact key.
-    profiling: str = "full"
     schema: int = ARTIFACT_SCHEMA
     #: Pickled size in bytes (see ``nbytes``).
     _nbytes: int | None = field(default=None, repr=False, compare=False)

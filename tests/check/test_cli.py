@@ -155,3 +155,42 @@ class TestReplay:
         assert rc == 1
         assert data["reproduced"] is False
         assert Path(data["artifact"]) == artifact
+
+
+class TestReduction:
+    def test_same_triple_failures_reduce_once(self, tmp_path, monkeypatch):
+        import functools
+
+        import repro.check.cli as cli
+        from repro.check.driver import run_driver
+        from repro.ir.instructions import Output
+        from repro.ir.values import Const
+
+        def noisy(func, profile):
+            # Diverges on every input: one equiv failure per input.
+            func.entry_block.body.append(Output(Const(424242)))
+            func.mark_code_mutated()
+            return func
+
+        monkeypatch.setattr(cli, "run_driver", functools.partial(
+            run_driver, extra_variants={"noisy": noisy}
+        ))
+        reduced = []
+
+        def reduce_function(source, predicate):
+            reduced.append(source)
+            raise ValueError("kept unreduced")
+
+        monkeypatch.setattr(cli, "reduce_function", reduce_function)
+        out = tmp_path / "check"
+        rc = main([
+            "--seeds", "1", "--shape", "cint", "--oracle", "equiv",
+            "--json", "--out", str(out),
+        ])
+        data = json.loads((out / "summary.json").read_text())
+        assert rc == 1
+        assert data["failures"] == 3  # one per input
+        assert len(reduced) == 1
+        assert len(data["artifacts"]) == len(set(data["artifacts"])) == 1
+        record = json.loads(Path(data["artifacts"][0]).read_text())
+        assert len(record["transcript"]) == 3

@@ -105,26 +105,3 @@ class TestRunExperiment:
         )
         assert one.cost("mc-ssapre") == two.cost("mc-ssapre")
         assert one.cost("ssapre") == two.cost("ssapre")
-
-
-class TestProfilingKnob:
-    """``profiling="probes"``: sparse training must change nothing."""
-
-    def test_probes_training_matches_full(self, while_loop):
-        full = run_experiment(while_loop, [1, 2, 10], [1, 2, 12])
-        probed = run_experiment(
-            while_loop, [1, 2, 10], [1, 2, 12], profiling="probes"
-        )
-        # Reconstruction is exact, so the training profile — and with it
-        # every optimisation decision and measurement — is identical.
-        assert dict(probed.train_result.profile.node_freq) == dict(
-            full.train_result.profile.node_freq
-        )
-        for variant in full.measurements:
-            assert probed.cost(variant) == full.cost(variant)
-
-    def test_unknown_profiling_mode_rejected(self, while_loop):
-        with pytest.raises(ValueError, match="profiling"):
-            run_experiment(
-                while_loop, [1, 2, 5], [1, 2, 6], profiling="sampling"
-            )

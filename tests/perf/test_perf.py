@@ -25,26 +25,26 @@ import pytest
 #: speculative-hoist/aliased-blocked pair); v8 added the "profiling"
 #: section (minimum-coverage probe placement + the profile-quality
 #: study) and the ``--only`` section filter; v9 replaced the top-level
-#: "quick"/"repeat" with per-section "section_runs".
+#: "quick"/"repeat" with per-section "section_runs"; v10 retargeted
+#: "profiling" at chord counting.
 BENCH_KEYS = {
     "schema", "solver", "python", "platform",
     "execution", "compile", "memory", "iterative", "solver_scaling",
     "serving", "maxflow", "profiling", "section_runs", "ok", "wall_time_s",
 }
 PROFILING_KEYS = {
-    "workloads", "fallbacks", "total_full_events", "total_probe_events",
+    "workloads", "total_full_events", "total_chord_events",
     "event_ratio", "min_event_ratio", "bounds_ok", "equivalent",
     "sample_period", "quality", "quality_ok", "ok",
 }
 PROFILING_ROW_KEYS = {
-    "name", "blocks", "edges", "probes", "bound", "bound_ok",
-    "full_events", "probe_events", "event_ratio", "reference_full_s",
-    "reference_probed_s", "compiled_full_s", "compiled_probed_s",
+    "name", "blocks", "edges", "chords", "bound", "bound_ok",
+    "full_events", "chord_events", "event_ratio", "compiled_s",
     "mismatches",
 }
 PROFILING_QUALITY_KEYS = {
     "name", "cost_exact", "delta_reconstructed", "delta_sampled",
-    "delta_stale", "fallback", "ok",
+    "delta_stale", "ok",
 }
 MEMORY_KEYS = {
     "workloads", "total_reference_s", "total_compiled_s", "speedup",
@@ -276,11 +276,11 @@ class TestCli:
             assert row["max_flow"] > 0
 
     def test_profiling_section(self, bench):
-        # Schema v8: minimum-coverage probe placement.  Probe counts
-        # must sit inside the spanning-tree bound, reconstruction must
-        # be bit-identical on both engines, counting events must drop
-        # by the gated factor, and exact reconstruction must cost zero
-        # dynamic-cost optimality.
+        # Schema v10: chord counting.  The counted edges must sit inside
+        # the spanning-tree bound, the derived result must be
+        # bit-identical to full counting, counting events must drop by
+        # the gated factor, and training on the derived profile must
+        # cost zero dynamic-cost optimality.
         _, data = bench
         profiling = data["profiling"]
         assert set(profiling) == PROFILING_KEYS
@@ -293,9 +293,9 @@ class TestCli:
         for row in profiling["workloads"]:
             assert set(row) == PROFILING_ROW_KEYS
             assert row["mismatches"] == []
-            assert row["probes"] <= row["bound"]
-            assert row["bound"] == max(0, row["edges"] - row["blocks"] + 1)
-            assert row["probe_events"] < row["full_events"]
+            assert row["chords"] <= row["bound"]
+            assert row["bound"] >= row["edges"] - row["blocks"] + 1
+            assert row["chord_events"] < row["full_events"]
         for row in profiling["quality"]:
             assert set(row) == PROFILING_QUALITY_KEYS
             assert row["delta_reconstructed"] == 0

@@ -23,6 +23,7 @@ from repro.passes.compiler import compile as compile_func
 from repro.pipeline import prepare
 from repro.profiles.compiled import (
     CompiledProgram,
+    chord_bound,
     compile_function,
     run_compiled,
 )
@@ -97,26 +98,23 @@ class TestPickleLoadPaths:
     def test_stale_magic_regenerates_bit_identically(
         self, shape, seed, monkeypatch
     ):
-        from repro.profiles.probes import place_probes
-
         spec = spec_for_shape(shape, seed)
         prepared = prepare(generate_program(spec).func)
-        for probes in (None, place_probes(prepared)):
-            fresh = compile_function(prepared, probes=probes)
-            calls = self._counting_compile(monkeypatch)
-            stale = stale_bytecode_copy(fresh)
-            assert len(calls) == 1  # regenerated from source
-            monkeypatch.undo()
-            seen = {"fresh": [], "stale": []}
-            fresh.profile_hook = seen["fresh"].append
-            stale.profile_hook = seen["stale"].append
-            for args in case_inputs(spec):
-                assert_bit_identical(
-                    fresh.run(args, max_steps=MAX_STEPS),
-                    stale.run(args, max_steps=MAX_STEPS),
-                )
-            assert seen["fresh"] == seen["stale"]
-            assert len(seen["stale"]) == len(case_inputs(spec))
+        fresh = compile_function(prepared)
+        calls = self._counting_compile(monkeypatch)
+        stale = stale_bytecode_copy(fresh)
+        assert len(calls) == 1  # regenerated from source
+        monkeypatch.undo()
+        seen = {"fresh": [], "stale": []}
+        fresh.profile_hook = seen["fresh"].append
+        stale.profile_hook = seen["stale"].append
+        for args in case_inputs(spec):
+            assert_bit_identical(
+                fresh.run(args, max_steps=MAX_STEPS),
+                stale.run(args, max_steps=MAX_STEPS),
+            )
+        assert seen["fresh"] == seen["stale"]
+        assert len(seen["stale"]) == len(case_inputs(spec))
 
     def test_matching_magic_never_compiles(self, monkeypatch):
         import repro.profiles.compiled as compiled
@@ -324,8 +322,7 @@ class TestCaching:
 
 # -- hard CFG shapes ----------------------------------------------------------
 # Each shape runs through every form a lowered program takes in
-# production: full counting and certified-probe counting, freshly lowered
-# and after a pickle round-trip (loading the pickled bytecode, or
+# production: freshly lowered and after a pickle round-trip (loading the pickled bytecode, or
 # regenerating from source under a stale bytecode tag), with and without
 # a live-profiling hook.
 
@@ -641,17 +638,13 @@ def _outcome(run, args, budget):
 
 
 def _assert_engines_match(func, cases):
-    """Every production form of *func*'s lowering against the reference
-    (certified-probe counting only where a placement exists)."""
-    from repro.profiles.probes import try_place_probes
-
-    programs = {"full": compile_function(func)}
-    placement, _reason = try_place_probes(func)
-    if placement is not None:
-        programs["probes"] = compile_function(func, probes=placement)
-    for mode, program in list(programs.items()):
-        programs[f"{mode}-pickled"] = pickle.loads(pickle.dumps(program))
-        programs[f"{mode}-stale"] = stale_bytecode_copy(program)
+    """Every production form of *func*'s lowering against the reference."""
+    fresh = compile_function(func)
+    programs = {
+        "fresh": fresh,
+        "pickled": pickle.loads(pickle.dumps(fresh)),
+        "stale": stale_bytecode_copy(fresh),
+    }
     for mode, program in programs.items():
         for hooked in (False, True):
             seen = []
@@ -668,16 +661,7 @@ def _assert_engines_match(func, cases):
                     assert got[1] == ref[1], (mode, args, budget)
                     continue
                 ref, got = ref[1], got[1]
-                if mode.startswith("full"):
-                    assert_bit_identical(ref, got)
-                else:
-                    assert got.observable() == ref.observable()
-                    assert dict(got.profile.node_freq) == dict(
-                        ref.profile.node_freq
-                    )
-                    assert got.dynamic_cost == ref.dynamic_cost
-                    assert dict(got.expr_counts) == dict(ref.expr_counts)
-                    assert got.steps == ref.steps
+                assert_bit_identical(ref, got)
                 if hooked:
                     assert dict(seen.pop()) == dict(ref.profile.node_freq)
             assert not seen
@@ -783,21 +767,6 @@ def _counters(program, args, max_steps=MAX_STEPS):
     return program.function(max_steps, [].append, *args, *arrays)[2]
 
 
-def _chord_count(func):
-    """|E'| - |V'| + 1 of the augmented reachable CFG, less the constant
-    edge ⊤ -> entry."""
-    from repro.ir.cfg import CFG
-
-    reachable = set(CFG(func).reverse_postorder())
-    edges = sum(
-        len(func.blocks[v].terminator.successors()) for v in reachable
-    )
-    exits = sum(not func.blocks[v].terminator.successors() for v in reachable)
-    if not exits:  # ⊤ is cut off: a spanning tree of the real blocks
-        return edges - len(reachable) + 1
-    return edges + exits - len(reachable)
-
-
 class TestChordCounting:
     """Only the edges off a spanning tree count; everything else is
     derived, and must still match the reference bit for bit."""
@@ -818,8 +787,13 @@ class TestChordCounting:
         build = _no_exit if name == "no-exit" else SHAPES_WITH_EXITS[name][0]
         func = build()
         program = compile_function(func)
-        chords = _chord_count(func)
-        assert program.derive.__code__.co_argcount == chords
+        chords = chord_bound(func)
+        assert len(program.chords) == chords
+        n_real = len(program.edge_pairs)
+        for k in program.chords:
+            # A real chord bumps its counter; an exit chord's ``return``
+            # hands its count back instead.
+            assert (f"_e{k} += 1" in program.source) == (k < n_real)
         if name != "no-exit":
             assert len(_counters(program, SHAPES_WITH_EXITS[name][1][0])) == chords
 
@@ -830,7 +804,7 @@ class TestChordCounting:
         prepared = prepare(generate_program(spec).func)
         program = compile_function(prepared)
         counters = _counters(program, case_inputs(spec)[0])
-        assert len(counters) == _chord_count(prepared)
+        assert len(counters) == chord_bound(prepared)
 
     @pytest.mark.parametrize("name", ["gromacs", "lbm", "milc", "namd", "wrf"])
     def test_serve_warm_programs_count_under_30_percent(self, name):

@@ -479,30 +479,3 @@ class TestOperatorVerbs:
             assert row["tier"] == "compiled"
             assert row["generation"] >= 2
             assert row["structural_key"] == _only_state(service).skey
-
-
-class TestProbesProfiling:
-    """AdaptConfig(profiling="probes"): sparse live profiling after swap."""
-
-    def test_unknown_profiling_mode_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptConfig(profiling="sideways")
-
-    def test_promoted_binding_feeds_probe_samples(self, loop_source):
-        service = _adaptive_service(warmup=1, profiling="probes")
-        with service:
-            service.handle(_loop_request(loop_source, 8))
-            assert service.adapt.drain(timeout=30.0)
-            state = _only_state(service)
-            assert state.binding is not None
-            # The promotion build ran in sparse mode end to end.
-            assert state.binding.artifact.profiling == "probes"
-            assert state.binding.artifact.program.probes is not None
-            before = service.metrics.get("live_probe_samples")
-            response = service.handle(_loop_request(loop_source, 8))
-            assert response.status == "ok"
-            assert response.served_by == "memory"
-            assert service.metrics.get("live_probe_samples") == before + 1
-            assert service.metrics.get("profile_reconstructions") >= 1
-            # Reconstructed counts feed the live profile like full ones.
-            assert state.live.samples >= 1

@@ -32,8 +32,6 @@ COUNTER_NAMES = {
     "hot_swaps", "tier_promotions", "tier_demotions", "rollbacks",
     # Cluster-tier counters (schema 3; docs/SERVING.md "Cluster").
     "plan_hits", "lock_rehydrates", "lock_breaks",
-    # Minimum-coverage profiling counters (schema 4; docs/PROFILING.md).
-    "live_probe_samples", "profile_reconstructions",
 }
 
 

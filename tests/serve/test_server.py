@@ -16,7 +16,7 @@ from repro.serve.server import (
 )
 from repro.serve.store import Artifact
 
-from tests.conftest import build_diamond, build_while_loop
+from tests.conftest import build_diamond
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -278,10 +278,12 @@ class TestRequestParsing:
         assert request.train_args == (4, 5, 6)
 
     def test_from_dict_rejects_unknown_fields(self, diamond_source):
-        with pytest.raises(ValueError, match="unknown request fields"):
-            CompileRequest.from_dict({
-                "source": diamond_source, "bogus": 1
-            })
+        # "profiling" selected a counting mode that no longer exists.
+        for field in ("bogus", "profiling"):
+            with pytest.raises(ValueError, match="unknown request fields"):
+                CompileRequest.from_dict({
+                    "source": diamond_source, field: "probes"
+                })
 
     def test_from_dict_requires_source(self):
         with pytest.raises(ValueError, match="missing 'source'"):
@@ -356,61 +358,3 @@ class TestPlanCache:
             second = service.handle(request)
         assert first.served_by == "compile"
         assert second.served_by == "memory"
-
-
-class TestProbesProfiling:
-    """``profiling="probes"``: sparse training + sparse serving."""
-
-    def test_build_artifact_ships_a_sparse_program(self):
-        from repro.pipeline import PipelineConfig
-
-        prepared = prepare(build_while_loop())
-        config = PipelineConfig(variant="mc-ssapre")
-        sparse = build_artifact(
-            prepared, config, key="k", train_args=(2, 3, 6),
-            profiling="probes",
-        )
-        full = build_artifact(
-            prepared, config, key="k", train_args=(2, 3, 6),
-        )
-        assert sparse.profiling == "probes"
-        assert full.profiling == "full"
-        assert sparse.program is not None
-        assert sparse.program.probes is not None
-        assert full.program.probes is None
-        # Exact reconstruction: identical training profile, identical
-        # optimisation decisions, identical served behaviour.
-        assert sparse.train_node_freq == full.train_node_freq
-        a = sparse.program.run([2, 3, 9])
-        b = full.program.run([2, 3, 9])
-        assert a.observable() == b.observable()
-        assert dict(a.profile.node_freq) == dict(b.profile.node_freq)
-
-    def test_unknown_profiling_mode_rejected(self, diamond_source):
-        with pytest.raises(ValueError):
-            CompileRequest(source=diamond_source, profiling="sometimes")
-        from repro.pipeline import PipelineConfig
-
-        with pytest.raises(ValueError):
-            build_artifact(
-                prepare(build_diamond()), PipelineConfig(variant="ssapre"),
-                key="k", profiling="sometimes",
-            )
-
-    def test_served_probes_request_counts_reconstructions(self, loop_source):
-        with CompileService() as service:
-            request = CompileRequest(
-                source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
-                train_args=(2, 3, 5), profiling="probes",
-            )
-            first = service.handle(request)
-            second = service.handle(request)
-        assert first.status == second.status == "ok"
-        # Every successful execution of the sparse program is one
-        # flow-conservation solve.
-        assert service.metrics.get("profile_reconstructions") == 2
-        expected = run_function(
-            prepare(build_while_loop()), [2, 3, 5]
-        ).observable()
-        # mc-ssapre preserves observables; the sparse run matches too.
-        assert first.observable() == expected

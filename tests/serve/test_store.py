@@ -1,6 +1,7 @@
 """Two-tier artifact store: LRU order, disk round-trip, corruption."""
 
 import hashlib
+import marshal
 import pickle
 import pickletools
 from importlib.util import MAGIC_NUMBER
@@ -278,22 +279,33 @@ class TestSchemaUpgrade:
         _write_framed(DiskStore(tmp_path).path(key), payload)
         _assert_quarantined_and_recompiled(tmp_path, key, request)
 
-    @pytest.mark.parametrize("framed", [False, True])
+    @pytest.mark.parametrize("schema, framed", [
+        pytest.param(4, False, id="False"),
+        pytest.param(4, True, id="True"),
+        pytest.param(5, True, id="schema-5-sparse"),
+    ])
     def test_schema_4_file_is_quarantined_and_recompiled(
-        self, tmp_path, monkeypatch, stored_loop, framed
+        self, tmp_path, monkeypatch, stored_loop, schema, framed
     ):
         from repro.profiles.compiled import CompiledProgram
 
         request, key, artifact = stored_loop
 
-        # A schema-4 program pickled its source only, no bytecode.
-        def source_only(program):
+        def old_state(program):
             state = dict(program.__dict__)
             state.update(function=None, derive=None, profile_hook=None)
+            if schema == 5:
+                # A sparse-mode program: probe counters, no ``_derive``.
+                state["probes"] = ("entry",)
+                state["bytecode"] = (
+                    MAGIC_NUMBER,
+                    marshal.dumps((program.function.__code__, None)),
+                )
+            # A schema-4 program pickled its source only, no bytecode.
             return state
 
-        monkeypatch.setattr(CompiledProgram, "__getstate__", source_only)
-        artifact.schema = 4
+        monkeypatch.setattr(CompiledProgram, "__getstate__", old_state)
+        artifact.schema = schema
         payload = pickle.dumps(artifact)
         monkeypatch.undo()
         path = DiskStore(tmp_path).path(key)
