@@ -5,8 +5,8 @@ Runs the full FDO protocol (train-profile, A/B/C compiles, ref-input
 measurement) on two CINT-like and two CFP-like synthetic benchmarks and
 prints the paper-style table rows plus the EFG-size summary of Figure 11.
 
-The full 29-benchmark versions are `python -m repro.bench table1`,
-`table2`, `fig9`, `fig10`, `fig11`, `sec4`, `all`.
+The full 29-benchmark versions are the `tables` and `sec4` sections of
+`python -m repro.perf`.
 
 Run:  python examples/spec_mini_suite.py
 """

@@ -1,8 +1,6 @@
-"""Ablation experiments (A1 lifetime, A2 profiles) as library functions.
-
-Used by both the pytest-benchmark harness (``benchmarks/``) and the
-``python -m repro.bench`` CLI.
-"""
+"""Ablations A1 (lifetime), A2 (node frequencies) and A3 (code size),
+one benchmark per call; the ``ablations`` section of ``repro.perf``
+runs and gates them."""
 
 from __future__ import annotations
 
@@ -11,13 +9,15 @@ from dataclasses import dataclass
 
 from repro.analysis.liveness import compute_liveness
 from repro.baselines.mcpre import run_mc_pre
-from repro.bench.workloads import Workload
+from repro.bench.workloads import load_workload
 from repro.core.mcssapre.driver import run_mc_ssapre
 from repro.ir.function import Function
+from repro.ir.instructions import Assign, BinOp, UnaryOp
 from repro.ir.printer import format_function
 from repro.pipeline import prepare
 from repro.profiles.counts import normalize_expr_counts
 from repro.profiles.interp import run_function
+from repro.profiles.profile import ExecutionProfile
 from repro.ssa.construct import construct_ssa
 from repro.ssa.destruct import destruct_ssa
 
@@ -60,12 +60,13 @@ class LifetimeAblation:
     early: LifetimeSide
 
 
-def lifetime_ablation(workload: Workload) -> LifetimeAblation:
-    """Compile one workload with both cut sides and compare lifetimes."""
+def lifetime_ablation(name: str) -> LifetimeAblation:
+    """Compile one benchmark with both cut sides and compare lifetimes."""
+    workload = load_workload(name)
+    prepared = prepare(workload.program.func)
+    train = run_function(prepared, workload.train_args)
 
     def side(sink_closest: bool) -> LifetimeSide:
-        prepared = prepare(workload.program.func)
-        train = run_function(prepared, workload.train_args)
         ssa = copy.deepcopy(prepared)
         construct_ssa(ssa)
         run_mc_ssapre(
@@ -77,9 +78,7 @@ def lifetime_ablation(workload: Workload) -> LifetimeAblation:
         cost = run_function(ssa, workload.train_args).dynamic_cost
         return LifetimeSide(live_range=ranges, pressure=pressure, cost=cost)
 
-    return LifetimeAblation(
-        name=workload.name, late=side(True), early=side(False)
-    )
+    return LifetimeAblation(name=name, late=side(True), early=side(False))
 
 
 @dataclass
@@ -89,8 +88,9 @@ class ProfileAblation:
     counts_match_mcpre: bool
 
 
-def profile_ablation(workload: Workload) -> ProfileAblation:
-    """Check node-frequency sufficiency on one workload (paper contrib 3)."""
+def profile_ablation(name: str) -> ProfileAblation:
+    """Check node-frequency sufficiency on one benchmark (paper contrib 3)."""
+    workload = load_workload(name)
     prepared = prepare(workload.program.func)
     train = run_function(prepared, workload.train_args)
 
@@ -118,35 +118,26 @@ def profile_ablation(workload: Workload) -> ProfileAblation:
         for key in set(mc_ssa) | set(mc_pre)
     )
     return ProfileAblation(
-        name=workload.name, identical_output=identical, counts_match_mcpre=match
+        name=name, identical_output=identical, counts_match_mcpre=match
     )
 
 
-def render_lifetime(results: list[LifetimeAblation]) -> str:
-    header = (
-        f"{'Benchmark':<12} {'range late':>10} {'range early':>12} "
-        f"{'press late':>11} {'press early':>12} {'cost equal':>11}"
+def static_occurrence_total(func: Function) -> int:
+    """Static count of computations (binary and unary operations)."""
+    return sum(
+        1
+        for block in func
+        for stmt in block.body
+        if isinstance(stmt, Assign) and isinstance(stmt.rhs, (BinOp, UnaryOp))
     )
-    lines = [
-        "Ablation A1: reverse-labeling (late) vs source-side (early) cut",
-        "=" * len(header),
-        header,
-        "-" * len(header),
-    ]
-    for r in results:
-        lines.append(
-            f"{r.name:<12} {r.late.live_range:>10} {r.early.live_range:>12} "
-            f"{r.late.pressure:>11} {r.early.pressure:>12} "
-            f"{str(r.late.cost == r.early.cost):>11}"
-        )
-    return "\n".join(lines)
 
 
-def render_profiles(results: list[ProfileAblation]) -> str:
-    lines = ["Ablation A2: node frequencies suffice for MC-SSAPRE", "=" * 52]
-    for r in results:
-        lines.append(
-            f"  {r.name:<12} identical-output={str(r.identical_output):<5} "
-            f"optimal-counts-match-mcpre={r.counts_match_mcpre}"
-        )
-    return "\n".join(lines)
+def compile_for_size(name: str) -> tuple[int, int]:
+    """Static computations of one benchmark before and after MC-SSAPRE
+    under a unit profile, which weighs every occurrence once."""
+    prepared = prepare(load_workload(name).program.func)
+    before = static_occurrence_total(prepared)
+    ssa = copy.deepcopy(prepared)
+    construct_ssa(ssa)
+    run_mc_ssapre(ssa, ExecutionProfile.unit(ssa))
+    return before, static_occurrence_total(ssa)

@@ -8,19 +8,18 @@ benchmark with both and reports, per suite:
 * number of non-trivial flow networks formed;
 * node/edge count distributions of EFGs vs MC-PRE reduced graphs;
 * total min-cut work (sum over networks of V²·E as a crude effort proxy);
-* measured wall-clock compile time of each algorithm;
-* the per-expression dynamic evaluation counts, which must agree.
+* the dynamic cost of each compile on the training input, which must
+  agree: under the profile both compiles optimise for, both are optimal.
 
-Also exercised directly by ``tests/bench/test_comparison.py``.
+The ``sec4`` section of ``python -m repro.perf`` runs it over the suite.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.baselines.mcpre import run_mc_pre
-from repro.bench.workloads import Workload
+from repro.bench.workloads import load_workload
 from repro.core.mcssapre.driver import run_mc_ssapre
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
@@ -39,8 +38,6 @@ class SizeComparison:
     mcpre_edges: list[int] = field(default_factory=list)
     mc_ssapre_cost: int = 0
     mc_pre_cost: int = 0
-    mc_ssapre_seconds: float = 0.0
-    mc_pre_seconds: float = 0.0
 
     @staticmethod
     def _effort(nodes: list[int], edges: list[int]) -> int:
@@ -54,46 +51,64 @@ class SizeComparison:
     def mcpre_effort(self) -> int:
         return self._effort(self.mcpre_nodes, self.mcpre_edges)
 
+    def row(self) -> dict:
+        """The JSON summary :func:`render_comparison` prints."""
 
-def compare_workload(workload: Workload, use_train_as_ref: bool = False) -> SizeComparison:
-    """Compile one workload with MC-SSAPRE and MC-PRE and compare."""
+        def avg(xs: list[int]) -> float:
+            return round(sum(xs) / len(xs), 2) if xs else 0.0
+
+        return {
+            "name": self.name,
+            "efg_networks": len(self.efg_nodes),
+            "efg_avg_nodes": avg(self.efg_nodes),
+            "efg_max_nodes": max(self.efg_nodes, default=0),
+            "mcpre_networks": len(self.mcpre_nodes),
+            "mcpre_avg_nodes": avg(self.mcpre_nodes),
+            "mcpre_max_nodes": max(self.mcpre_nodes, default=0),
+            "efg_effort": self.efg_effort,
+            "mcpre_effort": self.mcpre_effort,
+            "mc_ssapre_cost": self.mc_ssapre_cost,
+            "mc_pre_cost": self.mc_pre_cost,
+        }
+
+
+def compare_workload(name: str) -> SizeComparison:
+    """Compile one benchmark with MC-SSAPRE and MC-PRE and compare.
+
+    Both compiles are measured on the training input, whose profile
+    they optimise for.
+    """
+    workload = load_workload(name)
     prepared = prepare(workload.program.func)
     train = run_function(prepared, workload.train_args)
-    ref_args = workload.train_args if use_train_as_ref else workload.ref_args
 
     ssa_version = prepare(workload.program.func)
     construct_ssa(ssa_version)
-    started = time.perf_counter()
     mc_ssa_result = run_mc_ssapre(ssa_version, train.profile.nodes_only())
-    mc_ssa_seconds = time.perf_counter() - started
     destruct_ssa(ssa_version)
-    mc_ssa_run = run_function(ssa_version, ref_args)
+    mc_ssa_run = run_function(ssa_version, workload.train_args)
 
     cfg_version = prepare(workload.program.func)
-    started = time.perf_counter()
     mc_pre_result = run_mc_pre(cfg_version, train.profile)
-    mc_pre_seconds = time.perf_counter() - started
-    mc_pre_run = run_function(cfg_version, ref_args)
+    mc_pre_run = run_function(cfg_version, workload.train_args)
 
-    comparison = SizeComparison(name=workload.name)
-    for stat in mc_ssa_result.efg_stats:
-        comparison.efg_nodes.append(stat.nodes)
-        comparison.efg_edges.append(stat.edges)
-    for stat in mc_pre_result.stats:
-        comparison.mcpre_nodes.append(stat.nodes)
-        comparison.mcpre_edges.append(stat.edges)
-    comparison.mc_ssapre_cost = mc_ssa_run.dynamic_cost
-    comparison.mc_pre_cost = mc_pre_run.dynamic_cost
-    comparison.mc_ssapre_seconds = mc_ssa_seconds
-    comparison.mc_pre_seconds = mc_pre_seconds
-    return comparison
+    return SizeComparison(
+        name=name,
+        efg_nodes=[stat.nodes for stat in mc_ssa_result.efg_stats],
+        efg_edges=[stat.edges for stat in mc_ssa_result.efg_stats],
+        mcpre_nodes=[stat.nodes for stat in mc_pre_result.stats],
+        mcpre_edges=[stat.edges for stat in mc_pre_result.stats],
+        mc_ssapre_cost=mc_ssa_run.dynamic_cost,
+        mc_pre_cost=mc_pre_run.dynamic_cost,
+    )
 
 
-def render_comparison(comparisons: list[SizeComparison]) -> str:
+def render_comparison(rows: list[dict]) -> str:
+    """Render :meth:`SizeComparison.row` summaries as the Section 4 table."""
     header = (
         f"{'Benchmark':<12} {'#EFG':>5} {'EFG avg V':>10} {'EFG max V':>10} "
         f"{'#CFGnet':>8} {'CFG avg V':>10} {'CFG max V':>10} "
-        f"{'effort ratio':>13} {'compile time':>17}"
+        f"{'effort ratio':>13}"
     )
     lines = [
         "Section 4: MC-SSAPRE (EFG) vs MC-PRE (CFG) flow-network sizes",
@@ -101,16 +116,15 @@ def render_comparison(comparisons: list[SizeComparison]) -> str:
         header,
         "-" * len(header),
     ]
-    for c in comparisons:
-        def avg(xs):
-            return sum(xs) / len(xs) if xs else 0.0
-
-        ratio = (c.mcpre_effort / c.efg_effort) if c.efg_effort else float("inf")
+    for r in rows:
+        ratio = (
+            r["mcpre_effort"] / r["efg_effort"]
+            if r["efg_effort"] else float("inf")
+        )
         lines.append(
-            f"{c.name:<12} {len(c.efg_nodes):>5} {avg(c.efg_nodes):>10.1f} "
-            f"{max(c.efg_nodes, default=0):>10} {len(c.mcpre_nodes):>8} "
-            f"{avg(c.mcpre_nodes):>10.1f} {max(c.mcpre_nodes, default=0):>10} "
-            f"{ratio:>12.1f}x "
-            f"{c.mc_ssapre_seconds:>7.2f}s vs {c.mc_pre_seconds:>5.2f}s"
+            f"{r['name']:<12} {r['efg_networks']:>5} "
+            f"{r['efg_avg_nodes']:>10.1f} {r['efg_max_nodes']:>10} "
+            f"{r['mcpre_networks']:>8} {r['mcpre_avg_nodes']:>10.1f} "
+            f"{r['mcpre_max_nodes']:>10} {ratio:>12.1f}x"
         )
     return "\n".join(lines)

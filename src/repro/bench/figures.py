@@ -103,7 +103,7 @@ class EFGSizeDistribution:
             return "Figure 11: no EFGs were formed"
         peak = max(hist.values())
         lines = [
-            "Figure 11: EFG size distribution over the full benchmark suite",
+            "Figure 11: EFG size distribution over the measured benchmarks",
             "=" * 62,
             f"total EFGs: {self.total}   min size: {self.minimum}   "
             f"max size: {self.maximum}",

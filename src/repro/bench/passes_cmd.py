@@ -1,9 +1,9 @@
-"""The ``passes`` artifact: per-pass observability for the pipeline.
+"""The ``passes`` record: per-pass observability for the pipeline.
 
-``python -m repro.bench passes`` compiles one benchmark through every
-variant's pipeline and prints each :class:`~repro.passes.manager.PassReport`
-— per-pass wall time, IR size before/after, and analysis-cache hit/miss
-deltas.  The SSA variants demonstrate the cache paying off: SSA
+The ``passes`` section of ``python -m repro.perf`` compiles one benchmark
+through every variant's pipeline and records each
+:class:`~repro.passes.manager.PassReport` — per-pass wall time, IR size
+before/after, and analysis-cache hit/miss deltas.  The SSA variants demonstrate the cache paying off: SSA
 construction computes the CFG, dominator tree and dominance frontiers
 (misses), and because instruction rewriting preserves the CFG, the PRE
 stage's FRG construction reuses all three (hits).  The trailing
@@ -11,7 +11,7 @@ stage's FRG construction reuses all three (hits).  The trailing
 worklist and prints per-round statistics (classes processed, changed,
 insertions, reloads, fixpoint-vs-bound).
 
-The artifact also times ``Function.clone`` against ``copy.deepcopy`` on
+The record also times ``Function.clone`` against ``copy.deepcopy`` on
 the same prepared function — the input-copy fast path the compiler uses
 on every compile.
 """
@@ -19,21 +19,20 @@ on every compile.
 from __future__ import annotations
 
 import copy
-import json
 import time
 
 from repro.bench.workloads import load_workload
 from repro.core.worklist import DEFAULT_ITERATIVE_ROUNDS
 from repro.passes.compiler import VARIANTS, compile as compile_func
+from repro.passes.manager import render_report
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
 
-#: Compiles per artifact run; one benchmark keeps the artifact quick.
+#: The one benchmark the record compiles, which keeps it quick.
 DEFAULT_BENCHMARK = "bwaves"
-_CLONE_REPS = 20
 
 
-def clone_benchmark(func, reps: int = _CLONE_REPS) -> dict:
+def clone_benchmark(func, reps: int = 20) -> dict:
     """Time ``Function.clone`` vs ``copy.deepcopy`` on *func*."""
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -51,61 +50,42 @@ def clone_benchmark(func, reps: int = _CLONE_REPS) -> dict:
     }
 
 
-def passes_artifact(
-    names: tuple[str, ...] = (DEFAULT_BENCHMARK,),
-    variants: tuple[str, ...] = VARIANTS,
-    seed_offset: int = 0,
-    validate: bool = False,
-    as_json: bool = False,
-    solver: str = "mincut",
-) -> str:
-    """Render the per-pass report for each benchmark and variant.
+def passes_payload(solver: str = "mincut") -> list[dict]:
+    """The per-pass report of every variant on :data:`DEFAULT_BENCHMARK`.
 
     ``solver`` picks the mc-ssapre speculation back end
     ("mincut"/"lospre"/"auto"); which solver actually ran shows up in
     the mc-ssapre stage's payload summary.
     """
-    out: list[dict] = []
-    for name in names:
-        workload = load_workload(name, seed_offset)
-        prepared = prepare(workload.program.func)
-        train = run_function(prepared, workload.train_args)
-        entry: dict = {
-            "benchmark": name,
-            "clone_vs_deepcopy": clone_benchmark(prepared),
-            "reports": [],
-        }
-        for variant in variants:
-            compiled = compile_func(
-                prepared, variant, train.profile, validate=validate,
-                solver=solver if variant == "mc-ssapre" else "mincut",
-            )
-            assert compiled.report is not None
-            entry["reports"].append(compiled.report)
-        if "mc-ssapre" in variants:
-            # The iterative twin, so the artifact shows per-round stats
-            # (classes processed, insertions, reloads, fixpoint).
-            compiled = compile_func(
-                prepared, "mc-ssapre", train.profile, validate=validate,
-                rounds=DEFAULT_ITERATIVE_ROUNDS, solver=solver,
-            )
-            assert compiled.report is not None
-            compiled.report.variant = "mc-ssapre-iter"
-            entry["reports"].append(compiled.report)
-        out.append(entry)
-    if as_json:
-        return json.dumps(
-            [
-                {
-                    **entry,
-                    "reports": [r.to_dict() for r in entry["reports"]],
-                }
-                for entry in out
-            ],
-            indent=2,
-        )
+    workload = load_workload(DEFAULT_BENCHMARK)
+    prepared = prepare(workload.program.func)
+    profile = run_function(prepared, workload.train_args).profile
+    reports = [
+        compile_func(
+            prepared, variant, profile,
+            solver=solver if variant == "mc-ssapre" else "mincut",
+        ).report.to_dict()
+        for variant in VARIANTS
+    ]
+    # The iterative twin, so the record shows per-round stats (classes
+    # processed, insertions, reloads, fixpoint).
+    iterative = compile_func(
+        prepared, "mc-ssapre", profile,
+        rounds=DEFAULT_ITERATIVE_ROUNDS, solver=solver,
+    ).report
+    iterative.variant = "mc-ssapre-iter"
+    reports.append(iterative.to_dict())
+    return [{
+        "benchmark": DEFAULT_BENCHMARK,
+        "clone_vs_deepcopy": clone_benchmark(prepared),
+        "reports": reports,
+    }]
+
+
+def render_passes(payload: list[dict]) -> str:
+    """Render a :func:`passes_payload` record as text."""
     lines: list[str] = []
-    for entry in out:
+    for entry in payload:
         cb = entry["clone_vs_deepcopy"]
         lines.append(f"benchmark: {entry['benchmark']}")
         lines.append(
@@ -115,6 +95,6 @@ def passes_artifact(
         )
         lines.append("")
         for report in entry["reports"]:
-            lines.append(report.render())
+            lines.append(render_report(report))
             lines.append("")
     return "\n".join(lines).rstrip()

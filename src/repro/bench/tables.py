@@ -15,14 +15,8 @@ speedups, CFP's B closer to C than CINT's — is what reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
-from repro.bench.workloads import (
-    CFP2006,
-    CINT2006,
-    Workload,
-    load_workload,
-)
+from repro.bench.workloads import Workload, load_workload
 from repro.core.mcssapre.driver import MCPREResult as MCSSAPREResult
 from repro.parallel import parallel_map
 from repro.pipeline import run_experiment
@@ -78,14 +72,13 @@ class Table:
         return "\n".join(lines)
 
 
-def measure_workload(workload: Workload, validate: bool = False) -> TableRow:
+def measure_workload(workload: Workload) -> TableRow:
     """Run the A/B/C protocol on one benchmark."""
     experiment = run_experiment(
         workload.program.func,
         workload.train_args,
         workload.ref_args,
         variants=("ssapre", "ssapre-sp", "mc-ssapre"),
-        validate=validate,
     )
     mc = experiment.measurements["mc-ssapre"].compiled.pre_result
     sizes = mc.efg_sizes() if isinstance(mc, MCSSAPREResult) else []
@@ -98,49 +91,16 @@ def measure_workload(workload: Workload, validate: bool = False) -> TableRow:
     )
 
 
-def measure_named(
-    name: str, *, seed_offset: int = 0, validate: bool = False
-) -> TableRow:
+def measure_named(name: str) -> TableRow:
     """Load one named benchmark and measure it (picklable worker)."""
-    return measure_workload(
-        load_workload(name, seed_offset), validate=validate
-    )
+    return measure_workload(load_workload(name))
 
 
-def build_table(
-    names: tuple[str, ...],
-    title: str,
-    validate: bool = False,
-    seed_offset: int = 0,
-    jobs: int = 1,
-) -> Table:
+def build_table(names: tuple[str, ...], title: str, jobs: int = 1) -> Table:
     """Measure ``names`` (``jobs > 1`` fans benchmarks over processes).
 
     Each worker rebuilds its workload from the name — generation is
     deterministic, so the rows are identical to a sequential run and
     arrive in suite order regardless of which process finishes first.
     """
-    worker = partial(
-        measure_named, seed_offset=seed_offset, validate=validate
-    )
-    return Table(title=title, rows=parallel_map(worker, names, jobs=jobs))
-
-
-def table1(validate: bool = False, seed_offset: int = 0) -> Table:
-    """Paper Table 1: CINT2006 costs and speedup ratios."""
-    return build_table(
-        CINT2006,
-        "Table 1: CINT2006 dynamic costs and speedup ratios of MC-SSAPRE",
-        validate=validate,
-        seed_offset=seed_offset,
-    )
-
-
-def table2(validate: bool = False, seed_offset: int = 0) -> Table:
-    """Paper Table 2: CFP2006 costs and speedup ratios."""
-    return build_table(
-        CFP2006,
-        "Table 2: CFP2006 dynamic costs and speedup ratios of MC-SSAPRE",
-        validate=validate,
-        seed_offset=seed_offset,
-    )
+    return Table(title=title, rows=parallel_map(measure_named, names, jobs=jobs))

@@ -198,34 +198,24 @@ def _memory_spec(name: str, index: int) -> ProgramSpec:
     )
 
 
-def spec_for(name: str, seed_offset: int = 0) -> ProgramSpec:
-    """The generator spec of one named benchmark.
-
-    ``seed_offset`` shifts every generator seed by a constant — the
-    deterministic way to rerun the whole suite on fresh program instances
-    (``python -m repro.bench <artifact> --seed N``).  Offset 0 is the
-    canonical suite the tests pin down.
-    """
+def spec_for(name: str) -> ProgramSpec:
+    """The generator spec of one named benchmark."""
     if name in CINT2006:
-        spec = _cint_spec(name, CINT2006.index(name))
-    elif name in CFP2006:
-        spec = _cfp_spec(name, CFP2006.index(name))
-    elif name in COMPOSITE:
-        spec = _composite_spec(name, COMPOSITE.index(name))
-    elif name in MEMORY:
-        spec = _memory_spec(name, MEMORY.index(name))
-    else:
-        raise KeyError(f"unknown benchmark {name!r}")
-    if seed_offset:
-        spec.seed += seed_offset
-    return spec
+        return _cint_spec(name, CINT2006.index(name))
+    if name in CFP2006:
+        return _cfp_spec(name, CFP2006.index(name))
+    if name in COMPOSITE:
+        return _composite_spec(name, COMPOSITE.index(name))
+    if name in MEMORY:
+        return _memory_spec(name, MEMORY.index(name))
+    raise KeyError(f"unknown benchmark {name!r}")
 
 
-def load_workload(name: str, seed_offset: int = 0) -> Workload:
+def load_workload(name: str) -> Workload:
     """Build one named benchmark deterministically."""
-    spec = spec_for(name, seed_offset)
+    spec = spec_for(name)
     program = generate_program(spec)
-    train = random_args(spec, seed=101 + seed_offset)
+    train = random_args(spec, seed=101)
     if name in CINT2006:
         family = "CINT"
     elif name in CFP2006:
@@ -239,14 +229,10 @@ def load_workload(name: str, seed_offset: int = 0) -> Workload:
         family=family,
         program=program,
         train_args=train,
-        ref_args=perturbed_args(
-            spec, train, seed=202 + seed_offset, strength=3
-        ),
+        ref_args=perturbed_args(spec, train, seed=202, strength=3),
     )
 
 
-def load_suite(
-    names: tuple[str, ...] = ALL_BENCHMARKS, seed_offset: int = 0
-) -> list[Workload]:
+def load_suite(names: tuple[str, ...] = ALL_BENCHMARKS) -> list[Workload]:
     """Build a list of benchmarks (the whole suite by default)."""
-    return [load_workload(name, seed_offset) for name in names]
+    return [load_workload(name) for name in names]

@@ -1,8 +1,8 @@
 """Deterministic process-parallel map shared by the drivers.
 
-``repro.check``, ``repro.bench`` and ``repro.perf`` all parallelise the
-same way: a picklable worker over an explicit work list, fanned out with
-``--jobs N``.  :func:`parallel_map` is the one primitive they share — an
+``repro.check`` and ``repro.perf`` parallelise the same way: a picklable
+worker over an explicit work list, fanned out over worker processes.
+:func:`parallel_map` is the one primitive they share — an
 order-preserving ``map`` that degrades to a plain loop for ``jobs <= 1``
 (keeping single-process runs free of pool overhead and trivially
 debuggable) and uses :class:`~concurrent.futures.ProcessPoolExecutor`

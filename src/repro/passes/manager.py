@@ -127,60 +127,66 @@ class PassReport:
 
     def render(self) -> str:
         """Human-readable fixed-width report."""
-        title = f"PassReport: {self.function}"
-        if self.variant:
-            title += f" [{self.variant}]"
-        lines = [title]
-        header = (
-            f"  {'pass':<18} {'ms':>8} {'blocks':>11} "
-            f"{'stmts':>11} {'hit':>4} {'miss':>5}"
-        )
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for ex in self.executions:
-            lines.append(
-                f"  {ex.name:<18} {ex.wall_time * 1e3:>8.2f} "
-                f"{ex.blocks_before:>4}->{ex.blocks_after:<5} "
-                f"{ex.stmts_before:>4}->{ex.stmts_after:<5} "
-                f"{ex.cache_hits:>4} {ex.cache_misses:>5}"
-            )
-            solver_used = getattr(ex.payload, "solver_used", None)
-            if solver_used is not None:
-                requested = getattr(ex.payload, "solver_requested", None)
-                note = f"    solver: {solver_used}"
-                if requested not in (None, solver_used):
-                    note += f" (requested {requested})"
-                width = getattr(ex.payload, "shape_width", None)
-                if width is not None:
-                    note += f", shape width {width}"
-                refusals = getattr(ex.payload, "lospre_refusals", 0)
-                if refusals:
-                    note += f", {refusals} refusal(s)"
-                lines.append(note)
-            round_stats = getattr(ex.payload, "round_stats", None)
-            if round_stats:
-                per_round = "; ".join(
-                    f"r{s.number}: {s.changed}/{s.classes} classes, "
-                    f"{s.insertions} ins, {s.reloads} reloads"
-                    for s in round_stats
-                )
-                fixpoint = getattr(ex.payload, "fixpoint", True)
-                lines.append(
-                    f"    rounds: {per_round} "
-                    f"[{'fixpoint' if fixpoint else 'bound reached'}]"
-                )
+        return render_report(self.to_dict())
+
+
+def render_report(data: dict) -> str:
+    """Render a :meth:`PassReport.to_dict` record as a fixed-width report."""
+    title = f"PassReport: {data['function']}"
+    if data["variant"]:
+        title += f" [{data['variant']}]"
+    lines = [title]
+    header = (
+        f"  {'pass':<18} {'ms':>8} {'blocks':>11} "
+        f"{'stmts':>11} {'hit':>4} {'miss':>5}"
+    )
+    lines.append(header)
+    lines.append("  " + "-" * (len(header) - 2))
+    for ex in data["passes"]:
+        blocks_before, blocks_after = ex["blocks"]
+        stmts_before, stmts_after = ex["statements"]
         lines.append(
-            f"  total {self.total_time * 1e3:.2f} ms"
-            f" (clone {self.clone_time * 1e3:.2f} ms)"
-            f" | cache {self.cache_hits} hits / {self.cache_misses} misses"
+            f"  {ex['pass']:<18} {ex['wall_ms']:>8.2f} "
+            f"{blocks_before:>4}->{blocks_after:<5} "
+            f"{stmts_before:>4}->{stmts_after:<5} "
+            f"{ex['cache_hits']:>4} {ex['cache_misses']:>5}"
         )
-        if self.cache_counters:
-            per = ", ".join(
-                f"{name}: {h}h/{m}m"
-                for name, (h, m) in sorted(self.cache_counters.items())
+        payload = ex["payload"] if isinstance(ex["payload"], dict) else {}
+        solver_used = payload.get("solver")
+        if solver_used is not None:
+            requested = payload["solver_requested"]
+            note = f"    solver: {solver_used}"
+            if requested not in (None, solver_used):
+                note += f" (requested {requested})"
+            if "shape_width" in payload:
+                note += f", shape width {payload['shape_width']}"
+            if payload.get("lospre_refusals"):
+                note += f", {payload['lospre_refusals']} refusal(s)"
+            lines.append(note)
+        if payload.get("rounds"):
+            per_round = "; ".join(
+                f"r{s['round']}: {s['changed']}/{s['classes']} classes, "
+                f"{s['insertions']} ins, {s['reloads']} reloads"
+                for s in payload["rounds"]
             )
-            lines.append(f"  cache by analysis: {per}")
-        return "\n".join(lines)
+            lines.append(
+                f"    rounds: {per_round} "
+                f"[{'fixpoint' if payload['fixpoint'] else 'bound reached'}]"
+            )
+    cache = data["cache"]
+    hits = sum(c["hits"] for c in cache.values())
+    misses = sum(c["misses"] for c in cache.values())
+    lines.append(
+        f"  total {data['total_ms']:.2f} ms"
+        f" (clone {data['clone_ms']:.2f} ms)"
+        f" | cache {hits} hits / {misses} misses"
+    )
+    if cache:
+        per = ", ".join(
+            f"{name}: {c['hits']}h/{c['misses']}m" for name, c in cache.items()
+        )
+        lines.append(f"  cache by analysis: {per}")
+    return "\n".join(lines)
 
 
 def _payload_summary(payload: object | None) -> object | None:

@@ -1,27 +1,16 @@
-"""Pinned performance benchmark suite: ``python -m repro.perf``.
+"""Benchmark sections and ``BENCH.json``: ``python -m repro.perf``.
 
-Measures the three things this repository's speed rests on and writes
-them to a machine-readable ``BENCH.json`` (schema documented in
-``docs/PERF.md``):
-
-* **execution** — reference tree-walking interpreter vs the compiled
-  register-machine back end (:mod:`repro.profiles.compiled`) on the
-  standard cint/cfp benchmark shapes, with a bit-identical
-  :class:`~repro.profiles.interp.RunResult` equivalence check on every
-  workload;
-* **compile**  — per-stage pipeline wall time from the
-  :class:`~repro.passes.manager.PassReport` of the MC-SSAPRE compile;
-* **maxflow**  — Dinic vs Edmonds–Karp on deterministic scaling
-  networks (Dinic is the in-tree default; this keeps the evidence
-  fresh).
-
-Exit status is 1 when any equivalence check fails — the perf suite
-doubles as a differential smoke test, so CI can gate on it.
+Each section of :mod:`repro.perf.sections` measures one thing and gates
+it: the compiled execution back end against the reference interpreter,
+per-stage compile time, the memory suite, iterative MC-SSAPRE, the
+speculation solvers, serving, max flow, chord profiling, and the
+paper's evaluation (:mod:`repro.perf.paper`: Tables 1-2, Figures 9-11,
+the Section 4 comparison, the ablations, the Section 3.3 scaling sweep
+and per-pass reports).  The record's schema is documented in
+``docs/PERF.md``; the exit status is 1 when any gate run failed.
 """
 
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    run_perf,
-)
+from repro.perf.bench import BENCH_SCHEMA_VERSION
+from repro.perf.sections import run_perf
 
 __all__ = ["BENCH_SCHEMA_VERSION", "run_perf"]

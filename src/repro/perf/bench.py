@@ -11,18 +11,11 @@ shared machine).
 from __future__ import annotations
 
 import gc
-import platform
 import time
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.bench.workloads import (
-    CFP2006,
-    CINT2006,
-    COMPOSITE,
-    MEMORY,
-    load_workload,
-)
+from repro.bench.workloads import load_workload
 from repro.core.solvers.base import SpeculationSolver
 from repro.core.solvers.lospre import LospreSolver
 from repro.core.solvers.mincut import MinCutSolver
@@ -40,65 +33,12 @@ from repro.profiles.compiled import chord_bound, compile_function
 from repro.profiles.interp import RunResult, run_function
 from repro.profiles.profile import ExecutionProfile
 
-#: Version of the BENCH.json layout (documented in docs/PERF.md).
-#: v2 added the "iterative" table (one-shot vs rank-ordered iterative
-#: MC-SSAPRE: compile time, rounds, dynamic-cost deltas).  v3 added the
-#: "serving" section (cold vs warm artifact-cache throughput, hit-rate
-#: and single-flight coalescing gates over :mod:`repro.serve`).  v4
-#: added the "solver_scaling" section (lospre vs min-cut compile-time
-#: and solve-time curves over a pinned CFG family, with exact-placement
-#: and speedup gates), the ``solver`` knob on the compile section, the
-#: ``cold_auto_s`` solver=auto cold-request latency in the serving
-#: section, and fixed per-stage accounting so stage sums can no longer
-#: exceed the compile wall total.  v5 added the serving section's
-#: "adaptation" block: the online re-optimisation loop gated on
-#: promotion, non-blocking drift recompiles, >=1 hot swap, and
-#: post-swap bit-identity vs a from-scratch build (metrics schema 2).
-#: v6 added the serving section's "cluster" block: the sharded
-#: multi-process cluster driven open-loop, gated on aggregate RPS >=
-#: 3x the single-process pin at 4 workers, a p99 latency bound, zero
-#: mismatches, and a cross-process cold-key race compiling exactly
-#: once (metrics schema 3), plus the closed-loop report's
-#: latency/service_rps fields.  v7 added the "memory" section: the
-#: MEMORY workload suite (array loads/stores under the alias model)
-#: gated on interpreter-vs-compiled bit-parity and a compiled-engine
-#: speedup floor, plus the pinned speculative-load-hoist case — a
-#: strict dynamic-cost win for MC-SSAPRE over safe PRE on a
-#: loop-invariant in-bounds load, and zero motion on its aliased twin.
-#: v8 added the "profiling" section: minimum-coverage probe placement
-#: over the CINT/CFP/MEMORY suites, gated on the spanning-tree probe
-#: bound (probes <= |E|-|V|+1), bit-identical reconstructed profiles on
-#: both engines, a >=2x counting-event reduction over full counting,
-#: and the profile-quality study (exact vs reconstructed vs sampled vs
-#: stale training profiles -> MC-SSAPRE dynamic-cost optimality delta,
-#: with the reconstructed delta pinned to zero).  v9 moved the
-#: top-level "quick"/"repeat" into "section_runs" (each section's own
-#: quick/repeat), so ``--only`` can merge sections into an existing
-#: record.  v10 retargeted the "profiling" section at chord counting,
-#: the compiled engine's only counting path: each row records the
-#: counted edges against ``|E| - |V| + max(R, 1)`` and chord events
-#: against full events, and the quality study's "reconstructed" column
-#: trains on the compiled engine's chord-derived profile.
-BENCH_SCHEMA_VERSION = 10
+#: Version of the BENCH.json layout.  docs/PERF.md documents the
+#: layout and what each version changed; v11 added the paper's sections.
+BENCH_SCHEMA_VERSION = 11
 
 #: Step budget for the measured runs (matches the pipeline default).
 MAX_STEPS = 5_000_000
-
-#: The standard workload: first benchmarks of each family, in suite
-#: order.  Small enough that the full suite runs in seconds, large
-#: enough that the interpreter dispatch overhead dominates.
-STANDARD_WORKLOADS = CINT2006[:3] + CFP2006[:3]
-QUICK_WORKLOADS = (CINT2006[0], CFP2006[0])
-
-#: (layers, width) of the scaling flow networks.
-STANDARD_NETWORKS = ((6, 6), (10, 10), (14, 14))
-QUICK_NETWORKS = ((4, 4), (6, 6))
-
-#: Workloads for the iterative-vs-one-shot comparison: one benchmark per
-#: classic family (where the iterative driver must change nothing) plus
-#: the whole composite-chain suite (where second-order redundancy lives).
-ITERATIVE_WORKLOADS = (CINT2006[0], CFP2006[0]) + COMPOSITE
-QUICK_ITERATIVE_WORKLOADS = (CINT2006[0],) + COMPOSITE[:1]
 
 
 def _best_of(repeat: int, fn) -> tuple[float, object]:
@@ -242,9 +182,6 @@ def bench_compile(
 # ----------------------------------------------------------------------
 # Memory: array workloads under the alias model + the pinned hoist case.
 # ----------------------------------------------------------------------
-
-MEMORY_WORKLOADS = MEMORY
-QUICK_MEMORY_WORKLOADS = MEMORY[:1]
 
 #: Compiled-engine speedup floor over the reference interpreter on the
 #: memory suite (total interpreter seconds / total compiled seconds).
@@ -411,12 +348,6 @@ def bench_memory(names: tuple[str, ...], repeat: int) -> dict:
 # ----------------------------------------------------------------------
 # Profiling: chord counting vs full counting.
 # ----------------------------------------------------------------------
-
-#: Workloads for the profiling section: the head of each generated
-#: suite, so the chord bound and derived-profile parity are checked on
-#: integer, floating-point and memory-shaped CFGs alike.
-PROFILING_WORKLOADS = CINT2006[:3] + CFP2006[:3] + MEMORY
-QUICK_PROFILING_WORKLOADS = (CINT2006[0], CFP2006[0], MEMORY[0])
 
 #: Counting-event floor: full counting must perform at least this many
 #: times more counter increments than chord counting across the whole
@@ -651,10 +582,6 @@ def bench_iterative(names: tuple[str, ...], repeat: int) -> dict:
 #: regime the lospre paper targets: the min cut needs one augmenting
 #: phase per kill site (quadratic), the width-1 DP stays linear.
 SOLVER_MIN_SPEEDUP = 5.0
-
-#: Kill-site counts of the scaling family (the CFG has ~3k+4 blocks).
-SOLVER_SCALING_SIZES = (64, 128, 256, 512)
-QUICK_SOLVER_SCALING_SIZES = (64, 384)
 
 
 def solver_scaling_text(kills: int) -> str:
@@ -1372,143 +1299,3 @@ def bench_maxflow(sizes: tuple[tuple[int, int], ...], repeat: int) -> dict:
             "flows_agree": dinic_flow == ek_flow,
         })
     return {"networks": rows, "agreed": agreed}
-
-
-# ----------------------------------------------------------------------
-# The whole suite.
-# ----------------------------------------------------------------------
-
-#: Section names accepted by :func:`run_perf`'s ``sections`` filter (and
-#: the CLI's ``--only``), in run order.
-SECTION_NAMES = (
-    "execution", "compile", "memory", "iterative", "solver_scaling",
-    "serving", "maxflow", "profiling",
-)
-
-
-def run_perf(
-    quick: bool = False,
-    repeat: int | None = None,
-    solver: str = "mincut",
-    sections: tuple[str, ...] | None = None,
-) -> dict:
-    """Run the benchmark suite; returns the BENCH.json payload.
-
-    ``solver`` selects the speculation back end the compile section
-    times (the solver-scaling section always measures both).
-    ``sections`` restricts the run to a subset of :data:`SECTION_NAMES`
-    (None = all); only the sections that ran appear in the payload and
-    feed ``payload["ok"]``.  ``payload["ok"]`` is False when any
-    correctness gate failed (the CLI turns that into exit status 1).
-    """
-    if repeat is None:
-        repeat = 1 if quick else 3
-    chosen = SECTION_NAMES if sections is None else tuple(sections)
-    unknown = sorted(set(chosen) - set(SECTION_NAMES))
-    if unknown:
-        raise ValueError(f"unknown perf section(s): {', '.join(unknown)}")
-    names = QUICK_WORKLOADS if quick else STANDARD_WORKLOADS
-    sizes = QUICK_NETWORKS if quick else STANDARD_NETWORKS
-    iter_names = (
-        QUICK_ITERATIVE_WORKLOADS if quick else ITERATIVE_WORKLOADS
-    )
-    scaling_sizes = (
-        QUICK_SOLVER_SCALING_SIZES if quick else SOLVER_SCALING_SIZES
-    )
-    memory_names = QUICK_MEMORY_WORKLOADS if quick else MEMORY_WORKLOADS
-    profiling_names = (
-        QUICK_PROFILING_WORKLOADS if quick else PROFILING_WORKLOADS
-    )
-
-    t0 = time.perf_counter()
-    payload = {
-        "schema": BENCH_SCHEMA_VERSION,
-        "solver": solver,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-    if "execution" in chosen:
-        payload["execution"] = bench_execution(names, repeat)
-    if "compile" in chosen:
-        payload["compile"] = bench_compile(names, repeat, solver=solver)
-    if "memory" in chosen:
-        payload["memory"] = bench_memory(memory_names, repeat)
-    if "iterative" in chosen:
-        payload["iterative"] = bench_iterative(iter_names, repeat)
-    if "solver_scaling" in chosen:
-        payload["solver_scaling"] = bench_solver_scaling(
-            scaling_sizes, repeat
-        )
-    if "serving" in chosen:
-        serving = bench_serving(repeat, requests=36 if quick else 96)
-        adaptation = bench_adaptation()
-        serving["adaptation"] = adaptation
-        serving["ok"] = bool(serving["ok"] and adaptation["ok"])
-        cluster = bench_cluster(
-            serving["load_rps"], requests=36 if quick else 96
-        )
-        serving["cluster"] = cluster
-        serving["ok"] = bool(serving["ok"] and cluster["ok"])
-        payload["serving"] = serving
-    if "maxflow" in chosen:
-        payload["maxflow"] = bench_maxflow(sizes, repeat)
-    if "profiling" in chosen:
-        payload["profiling"] = bench_profiling(profiling_names, repeat)
-    payload["section_runs"] = {
-        name: {"quick": quick, "repeat": repeat}
-        for name in SECTION_NAMES if name in payload
-    }
-    payload["ok"] = payload_ok(payload)
-    payload["wall_time_s"] = round(time.perf_counter() - t0, 3)
-    return payload
-
-
-#: The correctness verdict of each gated section (``compile`` has none).
-_SECTION_GATES = {
-    "execution": "equivalent",
-    "memory": "ok",
-    "iterative": "ok",
-    "solver_scaling": "ok",
-    "serving": "ok",
-    "maxflow": "agreed",
-    "profiling": "ok",
-}
-
-
-def payload_ok(payload: dict) -> bool:
-    """Whether every gated section present in *payload* passed."""
-    return all(
-        bool(payload[name][gate])
-        for name, gate in _SECTION_GATES.items()
-        if name in payload
-    )
-
-
-def merge_payload(record: dict, payload: dict) -> dict:
-    """*payload*'s sections laid over an existing BENCH.json *record*.
-
-    Sections *payload* did not run keep their recorded numbers and their
-    own ``section_runs`` entry (quick/repeat), so ``--only`` refreshes
-    part of the record without wiping the rest.  A record of another
-    schema version (or anything but a record) is not comparable and is
-    replaced outright.
-    """
-    if not isinstance(record, dict) or record.get("schema") != payload["schema"]:
-        return payload
-    runs = dict(record.get("section_runs", {}))
-    runs.update(payload["section_runs"])
-    merged = {
-        key: value
-        for key, value in payload.items()
-        if key not in SECTION_NAMES
-        and key not in ("section_runs", "ok", "wall_time_s")
-    }
-    for name in SECTION_NAMES:
-        if name in payload or name in record:
-            merged[name] = payload.get(name, record.get(name))
-    merged["section_runs"] = {
-        name: runs[name] for name in SECTION_NAMES if name in merged
-    }
-    merged["ok"] = payload_ok(merged)
-    merged["wall_time_s"] = payload["wall_time_s"]
-    return merged

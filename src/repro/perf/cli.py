@@ -1,17 +1,18 @@
 """Command-line entry: ``python -m repro.perf``.
 
-Runs the pinned benchmark suite and writes ``BENCH.json`` (schema in
-``docs/PERF.md``).  ``--quick`` trims the workload and network lists for
-CI smoke runs; ``--only SECTION`` (repeatable) restricts the run to a
+Runs the sections of :mod:`repro.perf.sections` and writes
+``BENCH.json`` (schema in ``docs/PERF.md``), printing each section's
+report.  ``--quick`` trims each section's program and size lists for CI
+smoke runs; ``--only SECTION`` (repeatable) restricts the run to a
 subset of sections and merges them into the record already at
 ``--out``, keeping the other sections; ``--json`` prints the written
-record to stdout as well.  The exit status gates only the sections run.
+record to stdout instead of the reports.
 
-Exit status: 0 when every correctness gate passed, 1 otherwise — the
-timings themselves never fail the run (they are environment-dependent);
-a compiled-vs-reference divergence, a Dinic-vs-Edmonds-Karp
-disagreement, or an iterative-PRE regression (dynamic cost higher than
-one-shot anywhere, or no strict win on the composite suite) does.
+Exit status: 0 when the gate of every section run passed, 1 otherwise.
+A gate is a correctness or shape check — engine equivalence, max-flow
+agreement, the paper's table and figure shapes, equal optima — or a
+timing ratio with a wide margin (the serving, solver-scaling and
+Section 3.3 bounds); a bare timing never fails the run.
 """
 
 from __future__ import annotations
@@ -22,20 +23,26 @@ import sys
 from pathlib import Path
 
 from repro.core.solvers.base import SOLVER_NAMES
-from repro.perf.bench import SECTION_NAMES, merge_payload, run_perf
+from repro.perf.sections import (
+    SECTION_NAMES,
+    SECTIONS,
+    failed_sections,
+    merge_payload,
+    run_perf,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
         description=(
-            "Benchmark the compiled execution back end, the compile "
-            "pipeline and the max-flow solvers; write BENCH.json."
+            "Run the benchmark sections (engines, compiler, serving and "
+            "the paper's tables, figures and ablations); write BENCH.json."
         ),
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="small workload/network lists, one repetition (CI smoke)",
+        help="small program/size lists, one repetition (CI smoke)",
     )
     parser.add_argument(
         "--repeat", type=int, default=None, metavar="N",
@@ -44,8 +51,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--solver", choices=SOLVER_NAMES, default="mincut",
-        help="speculation solver the compile section times: the exact "
-        "min-cut back end, the linear-time lospre DP, or auto (shape "
+        help="speculation solver of the compile and passes sections: the "
+        "exact min-cut back end, the linear-time lospre DP, or auto (shape "
         "classifier picks per function); the solver-scaling section "
         "always measures both (default mincut)",
     )
@@ -61,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="also print the payload to stdout",
+        help="print the written record to stdout instead of the reports",
     )
     args = parser.parse_args(argv)
 
@@ -82,112 +89,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(text, end="")
     else:
-        if "execution" in payload:
-            execution = payload["execution"]
-            print(f"execution: {execution['speedup']}x compiled over "
-                  f"reference ({execution['total_reference_s']}s -> "
-                  f"{execution['total_compiled_s']}s, "
-                  f"equivalent={execution['equivalent']})")
-        if "compile" in payload:
-            print(f"compile:   {payload['compile']['total_s']}s over "
-                  f"{payload['compile']['functions']} function(s)")
-        if "memory" in payload:
-            memory = payload["memory"]
-            spec_hoist = memory["speculation"]["hoist"]
-            spec_blocked = memory["speculation"]["blocked"]
-            print(f"memory:    {memory['speedup']}x compiled over reference "
-                  f"(gate {memory['min_speedup']}x, "
-                  f"equivalent={memory['equivalent']})")
-            print(f"memory:    hoist cost {spec_hoist['safe_cost']} -> "
-                  f"{spec_hoist['mc_cost']} "
-                  f"(loads {spec_hoist['safe_loads']} -> "
-                  f"{spec_hoist['mc_loads']}, ok={spec_hoist['ok']}), "
-                  f"blocked loads {spec_blocked['mc_loads']}"
-                  f"/{spec_blocked['control_loads']} "
-                  f"(ok={spec_blocked['ok']})")
-        if "iterative" in payload:
-            iterative = payload["iterative"]
-            for row in iterative["workloads"]:
-                print(f"iterative: {row['name']:<10} "
-                      f"{row['rounds_run']} round(s)  cost "
-                      f"{row['oneshot_dynamic_cost']} -> "
-                      f"{row['iterative_dynamic_cost']}  "
-                      f"(compile x{row['compile_overhead']})")
-            print(f"iterative: never_higher={iterative['never_higher']} "
-                  f"strict_win={iterative['strict_win']} "
-                  f"equivalent={iterative['equivalent']}")
-        if "solver_scaling" in payload:
-            scaling = payload["solver_scaling"]
-            for row in scaling["sizes"]:
-                print(f"solver:    {row['kills']:>4} kills "
-                      f"({row['blocks']} blocks)  "
-                      f"mincut {row['mincut_solve_s']}s  "
-                      f"lospre {row['lospre_solve_s']}s  "
-                      f"({row['solver_speedup']}x, width {row['max_width']})")
-            print(f"solver:    speedup {scaling['speedup_at_largest']}x at "
-                  f"largest size (gate {scaling['min_speedup']}x), "
-                  f"equivalent={scaling['equivalent']} "
-                  f"accepted={scaling['accepted']}")
-        if "serving" in payload:
-            serving = payload["serving"]
-            print(f"serving:   {serving['speedup']}x warm over cold "
-                  f"({serving['cold_s']}s -> {serving['warm_s']}s per "
-                  f"{serving['unique']} request(s), "
-                  f"equivalent={serving['equivalent']})")
-            print(f"serving:   cold solver=auto request "
-                  f"{serving['cold_auto_s']}s (ok={serving['auto_ok']})")
-            print(f"serving:   hit rate {serving['hit_rate']} "
-                  f"(admits {serving['expected_hit_rate']}), "
-                  f"{serving['mismatches']} mismatch(es), "
-                  f"coalescing {serving['coalescing']['compiles']} "
-                  f"compile(s) for {serving['coalescing']['clients']} "
-                  f"client(s)")
-            adaptation = serving["adaptation"]
-            print(f"serving:   adaptation "
-                  f"promotions={adaptation['promotions']} "
-                  f"drift_events={adaptation['drift_events']} "
-                  f"hot_swaps={adaptation['hot_swaps']} "
-                  f"non_blocking={adaptation['non_blocking_ok']} "
-                  f"swap_identical={adaptation['swap_identical']} "
-                  f"(ok={adaptation['ok']})")
-            cluster = serving["cluster"]
-            print(f"serving:   cluster {cluster['achieved_rps']} req/s over "
-                  f"{cluster['workers']} worker(s) "
-                  f"({cluster['rps_ratio']}x single, gate "
-                  f"{cluster['min_rps_ratio']}x), p99 {cluster['p99_s']}s "
-                  f"(max {cluster['p99_max_s']}s), "
-                  f"race compiles={cluster['race']['compiles']} "
-                  f"(ok={cluster['ok']})")
-        if "maxflow" in payload:
-            for row in payload["maxflow"]["networks"]:
-                print(f"maxflow:   {row['nodes']}n/{row['edges']}e  "
-                      f"dinic {row['dinic_s']}s  "
-                      f"ek {row['edmonds_karp_s']}s  "
-                      f"({row['ek_over_dinic']}x)")
-        if "profiling" in payload:
-            profiling = payload["profiling"]
-            for row in profiling["workloads"]:
-                print(f"profiling: {row['name']:<10} "
-                      f"{row['chords']}/{row['edges']} edges counted "
-                      f"(bound {row['bound']})  events "
-                      f"{row['full_events']} -> {row['chord_events']} "
-                      f"({row['event_ratio']}x)")
-            for row in profiling["quality"]:
-                print(f"profiling: {row['name']:<10} quality delta "
-                      f"recon {row['delta_reconstructed']}  "
-                      f"sampled {row['delta_sampled']}  "
-                      f"stale {row['delta_stale']}")
-            print(f"profiling: event ratio {profiling['event_ratio']}x "
-                  f"(gate {profiling['min_event_ratio']}x), "
-                  f"bounds_ok={profiling['bounds_ok']} "
-                  f"equivalent={profiling['equivalent']} "
-                  f"quality_ok={profiling['quality_ok']} "
-                  f"(ok={profiling['ok']})")
+        for section in SECTIONS:
+            if section.name in payload:
+                print(section.report(payload[section.name]), end="\n\n")
         print(f"wrote {args.out}")
-    if not payload["ok"]:
+    failed = failed_sections(payload)
+    if failed:
         print(
-            "EQUIVALENCE, ITERATIVE, SOLVER, SERVING OR PROFILING GATE "
-            "FAILURE - see BENCH.json",
+            f"GATE FAILURE in {', '.join(failed)} - see {args.out}",
             file=sys.stderr,
         )
         return 1

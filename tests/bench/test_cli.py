@@ -1,8 +1,35 @@
-"""Tests for the `python -m repro.bench` command-line interface."""
+"""The paper's artifacts through ``python -m repro.perf --only``.
+
+One quick run of the five paper sections on two small programs (sjeng
+for CINT, tonto for CFP; the MC-PRE sections on tonto alone) and a
+two-point Section 3.3 sweep.
+"""
+
+import contextlib
+import io
+import json
 
 import pytest
 
-from repro.bench.cli import main
+from repro.perf import paper
+from repro.perf.cli import main
+
+PAPER_SECTIONS = ("tables", "sec4", "ablations", "sec33", "passes")
+
+
+@pytest.fixture(scope="module")
+def paper_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("paper") / "BENCH.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paper, "QUICK_CINT", ("sjeng",))
+        mp.setattr(paper, "QUICK_CFP", ("tonto",))
+        mp.setattr(paper, "SLOW_MCPRE", ("sjeng",))
+        mp.setattr(paper, "SEC33_SIZES", (3, 5))
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            only = [arg for name in PAPER_SECTIONS for arg in ("--only", name)]
+            rc = main(["--quick", "--out", str(out), *only])
+    return rc, text.getvalue(), json.loads(out.read_text())
 
 
 def run_cli(capsys, *argv) -> str:
@@ -11,37 +38,61 @@ def run_cli(capsys, *argv) -> str:
 
 
 class TestCLI:
-    def test_table1_subset(self, capsys):
-        out = run_cli(capsys, "table1", "--benchmarks", "mcf,sjeng")
+    def test_table1_subset(self, paper_run):
+        rc, out, record = paper_run
+        assert rc == 0 and record["ok"] is True
         assert "Table 1" in out
-        assert "mcf" in out and "sjeng" in out
+        assert "sjeng" in out and "tonto" in out
         assert "Average" in out
+        assert record["tables"]["table1"]["rows"][0]["benchmark"] == "sjeng"
 
-    def test_fig9_subset(self, capsys):
-        out = run_cli(capsys, "fig9", "--benchmarks", "mcf")
-        assert "Figure 9" in out
+    def test_fig9_subset(self, paper_run):
+        _, out, _ = paper_run
+        assert "Figure 9" in out and "Figure 10" in out
         assert "normalised" in out
 
-    def test_fig11_subset(self, capsys):
-        out = run_cli(capsys, "fig11", "--benchmarks", "mcf,milc")
+    def test_fig11_subset(self, paper_run):
+        _, out, record = paper_run
         assert "EFG size distribution" in out
         assert "min size: 4" in out
+        assert record["tables"]["fig11"]["minimum"] == 4
 
-    def test_sec4_subset(self, capsys):
-        out = run_cli(capsys, "sec4", "--benchmarks", "sjeng")
+    def test_sec4_subset(self, paper_run):
+        _, out, record = paper_run
         assert "flow-network sizes" in out
-        assert "sjeng" in out
+        (row,) = record["sec4"]["programs"]
+        assert row["name"] == "tonto"
+        assert row["mc_ssapre_cost"] == row["mc_pre_cost"]
 
-    def test_unknown_benchmark_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--benchmarks", "doom3"])
+    def test_ablations_subset(self, paper_run):
+        _, out, record = paper_run
+        assert "ablations.lifetime.programs:" in out
+        assert "ablations.size.programs:" in out
+        ablations = record["ablations"]
+        assert [r["name"] for r in ablations["lifetime"]["programs"]] == [
+            "sjeng", "tonto",
+        ]
+        assert [r["name"] for r in ablations["profiles"]["programs"]] == [
+            "tonto",
+        ]
+        assert all(ablations["gates"].values())
+
+    def test_sec33_subset(self, paper_run):
+        _, out, record = paper_run
+        assert "sec33.sizes:" in out
+        assert [p["region_length"] for p in record["sec33"]["sizes"]] == [3, 5]
+
+    def test_every_section_recorded_as_quick(self, paper_run):
+        _, _, record = paper_run
+        assert set(record["section_runs"]) == set(PAPER_SECTIONS)
+        assert all(run["quick"] for run in record["section_runs"].values())
 
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
-            main(["table7"])
+            main(["--only", "table7"])
 
-    def test_passes_artifact(self, capsys):
-        out = run_cli(capsys, "passes")
+    def test_passes_artifact(self, paper_run):
+        _, out, _ = paper_run
         assert "PassReport: bwaves [mc-ssapre]" in out
         assert "construct-ssa" in out
         assert "clone" in out and "deepcopy" in out
@@ -50,11 +101,9 @@ class TestCLI:
         assert "PassReport: bwaves [mc-ssapre-iter]" in out
         assert "rounds: r1:" in out
 
-    def test_passes_artifact_json(self, capsys):
-        import json
-
-        out = run_cli(capsys, "passes", "--json", "--benchmarks", "bwaves")
-        data = json.loads(out)
+    def test_passes_artifact_json(self, paper_run):
+        _, _, record = paper_run
+        data = record["passes"]
         assert data[0]["benchmark"] == "bwaves"
         report = next(
             r for r in data[0]["reports"] if r["variant"] == "ssapre"
@@ -66,14 +115,12 @@ class TestCLI:
         assert pre["cache_hits"] >= 3 and pre["cache_misses"] == 0
 
     @pytest.mark.parametrize("solver", ["mincut", "lospre", "auto"])
-    def test_passes_artifact_solver_flag(self, capsys, solver):
-        import json
-
+    def test_passes_artifact_solver_flag(self, capsys, tmp_path, solver):
         out = run_cli(
-            capsys, "passes", "--json", "--benchmarks", "bwaves",
-            "--solver", solver,
+            capsys, "--only", "passes", "--solver", solver, "--json",
+            "--out", str(tmp_path / "BENCH.json"),
         )
-        data = json.loads(out)
+        data = json.loads(out)["passes"]
         report = next(
             r for r in data[0]["reports"] if r["variant"] == "mc-ssapre"
         )
@@ -85,27 +132,4 @@ class TestCLI:
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(SystemExit):
-            main(["passes", "--solver", "simplex"])
-
-    def test_seed_offset_changes_the_table(self, capsys):
-        base = run_cli(capsys, "table1", "--benchmarks", "mcf")
-        same = run_cli(capsys, "table1", "--benchmarks", "mcf", "--seed", "0")
-        other = run_cli(
-            capsys, "table1", "--benchmarks", "mcf", "--seed", "5"
-        )
-        assert base == same  # offset 0 is the canonical suite
-        assert base != other  # a different deterministic program instance
-
-
-class TestSeedOffset:
-    def test_spec_and_args_shift_deterministically(self):
-        from repro.bench.workloads import load_workload, spec_for
-
-        assert spec_for("mcf", 5).seed == spec_for("mcf").seed + 5
-        a = load_workload("gcc", seed_offset=3)
-        b = load_workload("gcc", seed_offset=3)
-        assert a.train_args == b.train_args
-        assert a.ref_args == b.ref_args
-        assert str(a.program.func) == str(b.program.func)
-        c = load_workload("gcc")
-        assert str(a.program.func) != str(c.program.func)
+            main(["--only", "passes", "--solver", "simplex"])

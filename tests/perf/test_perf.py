@@ -1,6 +1,7 @@
 """``python -m repro.perf``: BENCH.json schema, equivalence gate, CLI."""
 
 import json
+from pathlib import Path
 
 from repro.perf.bench import (
     BENCH_SCHEMA_VERSION,
@@ -11,6 +12,7 @@ from repro.perf.bench import (
     solver_scaling_text,
 )
 from repro.perf.cli import main
+from repro.perf.sections import SECTION_NAMES, render_record
 from repro.profiles.compiled import run_compiled
 from repro.profiles.interp import run_function
 
@@ -26,11 +28,17 @@ import pytest
 #: section (minimum-coverage probe placement + the profile-quality
 #: study) and the ``--only`` section filter; v9 replaced the top-level
 #: "quick"/"repeat" with per-section "section_runs"; v10 retargeted
-#: "profiling" at chord counting.
-BENCH_KEYS = {
-    "schema", "solver", "python", "platform",
+#: "profiling" at chord counting; v11 added the paper's sections
+#: (tests/perf/test_paper.py).
+#: The sections the CLI fixture runs; the paper's sections are tested on
+#: smaller program sets in test_paper.py.
+ENGINE_SECTIONS = (
     "execution", "compile", "memory", "iterative", "solver_scaling",
-    "serving", "maxflow", "profiling", "section_runs", "ok", "wall_time_s",
+    "serving", "maxflow", "profiling",
+)
+BENCH_KEYS = {
+    "schema", "solver", "python", "platform", *ENGINE_SECTIONS,
+    "section_runs", "ok", "wall_time_s",
 }
 PROFILING_KEYS = {
     "workloads", "total_full_events", "total_chord_events",
@@ -99,7 +107,8 @@ class TestCli:
     @pytest.fixture(scope="class")
     def bench(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("perf") / "BENCH.json"
-        rc = main(["--quick", "--out", str(out)])
+        only = [arg for name in ENGINE_SECTIONS for arg in ("--only", name)]
+        rc = main(["--quick", "--out", str(out), *only])
         return rc, json.loads(out.read_text())
 
     def test_exit_clean_and_schema(self, bench):
@@ -337,7 +346,10 @@ class TestCli:
 
     def test_json_flag_prints_payload(self, tmp_path, capsys):
         out = tmp_path / "BENCH.json"
-        rc = main(["--quick", "--repeat", "1", "--json", "--out", str(out)])
+        rc = main([
+            "--quick", "--repeat", "1", "--only", "maxflow", "--json",
+            "--out", str(out),
+        ])
         assert rc == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed == json.loads(out.read_text())
@@ -347,6 +359,20 @@ class TestCli:
             main(["--quick", "--solver", "bogus"])
         assert excinfo.value.code == 2
         assert "--solver" in capsys.readouterr().err
+
+
+class TestCommittedRecord:
+    def test_every_section_is_a_full_run(self):
+        # The committed BENCH.json is the reference a change is compared
+        # against, so it must hold every section, none of them quick.
+        record = json.loads(
+            (Path(__file__).parents[2] / "BENCH.json").read_text()
+        )
+        assert record["schema"] == BENCH_SCHEMA_VERSION
+        assert set(record["section_runs"]) == set(SECTION_NAMES)
+        for name in SECTION_NAMES:
+            assert name in record
+            assert record["section_runs"][name]["quick"] is False, name
 
 
 class TestSolverKnob:
@@ -381,6 +407,21 @@ class TestHelpers:
     def test_solvers_agree_on_scaling_networks(self):
         report = bench_maxflow(((3, 3), (5, 4)), repeat=1)
         assert report["agreed"] is True
+
+    def test_render_record_prints_scalars_nested_records_and_rows(self):
+        text = render_record("demo", {
+            "ok": True,
+            "rows": [{"name": "a", "n": 1, "skip": [1]}, {"name": "bb", "n": 22}],
+            "inner": {"x": 3, "empty": {}},
+        })
+        assert text.splitlines() == [
+            "demo: ok=True",
+            "demo.rows:",
+            "  name   n",
+            "     a   1",
+            "    bb  22",
+            "demo.inner: x=3",
+        ]
 
     def test_solver_scaling_text_is_deterministic(self):
         a = solver_scaling_text(4)
