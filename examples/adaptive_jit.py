@@ -1,70 +1,77 @@
 #!/usr/bin/env python3
-"""Adaptive recompilation with :class:`repro.AdaptiveCompiler`.
+"""Adaptive recompilation with the serving layer's adaptation tier.
 
 The paper's conclusion argues MC-SSAPRE is a natural fit for just-in-time
 compilers: block counters are the cheapest kind of profile, and the tiny
-EFGs make recompilation fast.  This example runs a service-shaped loop:
+EFGs make recompilation fast.  ``CompileService(adapt=AdaptConfig(...))``
+is that tier.  This example runs a service-shaped loop:
 
-1. requests arrive and execute under the profiling interpreter;
-2. once the function gets hot, it is recompiled with MC-SSAPRE using the
-   accumulated counters;
-3. later requests run the optimised code — cheaper, same answers.
+1. requests arrive and execute under the profiling interpreter, whose
+   node counters accumulate in a live profile;
+2. after ``warmup`` requests the function is promoted: MC-SSAPRE
+   recompiles it from the live profile, off the request path;
+3. later requests run the optimised artifact — cheaper, same answers.
 
 Run:  python examples/adaptive_jit.py
 """
 
-from repro import AdaptiveCompiler, FunctionBuilder
+from repro.serve.adapt import AdaptConfig
+from repro.serve.server import CompileRequest, CompileService
 
-
-def build_service_kernel():
-    b = FunctionBuilder("kernel", params=["key", "salt", "rounds"])
-    b.block("entry")
-    b.copy("h", 0)
-    b.copy("i", 0)
-    b.jump("head")
-    b.block("head")
-    b.assign("c", "lt", "i", "rounds")
-    b.branch("c", "body", "done")
-    b.block("body")
-    b.assign("base", "mul", "key", "salt")   # loop-invariant, hot
-    b.assign("h", "xor", "h", "base")
-    b.assign("h", "add", "h", "i")
-    b.assign("m", "and", "h", 1)
-    b.branch("m", "odd", "even")
-    b.block("odd")
-    b.assign("h", "shl", "h", 1)
-    b.jump("latch")
-    b.block("even")
-    b.assign("extra", "mul", "key", "salt")  # partially redundant
-    b.assign("h", "add", "h", "extra")
-    b.jump("latch")
-    b.block("latch")
-    b.assign("i", "add", "i", 1)
-    b.jump("head")
-    b.block("done")
-    b.ret("h")
-    return b.build()
+SOURCE = """
+func kernel(key, salt, rounds) {
+entry:
+  h = 0
+  i = 0
+  jump head
+head:
+  c = lt i, rounds
+  br c, body, done
+body:
+  # loop-invariant, hot
+  base = mul key, salt
+  h = xor h, base
+  h = add h, i
+  m = and h, 1
+  br m, odd, even
+odd:
+  h = shl h, 1
+  jump latch
+even:
+  # partially redundant
+  extra = mul key, salt
+  h = add h, extra
+  jump latch
+latch:
+  i = add i, 1
+  jump head
+done:
+  ret h
+}
+"""
 
 
 def main() -> None:
-    jit = AdaptiveCompiler(hot_threshold=600)
-    jit.register(build_service_kernel())
-
     requests = [(k, 7, 25 + (k % 9)) for k in range(1, 25)]
     cold_costs, hot_costs = [], []
-    for key, salt, rounds in requests:
-        state = jit.state("kernel")
-        tier_before = state.tier
-        result = jit.call("kernel", [key, salt, rounds])
-        (cold_costs if tier_before == "interpreted" else hot_costs).append(
-            result.dynamic_cost
-        )
-        if state.tier != tier_before:
-            print(
-                f"request {len(cold_costs) + len(hot_costs):>2}: "
-                f"function went hot -> recompiled with MC-SSAPRE "
-                f"(compilations={state.compilations})"
+    with CompileService(adapt=AdaptConfig(warmup=6)) as service:
+        for number, args in enumerate(requests, start=1):
+            response = service.handle(
+                CompileRequest(source=SOURCE, args=args, variant="mc-ssapre")
             )
+            assert response.status == "ok", response.error
+            if response.served_by == "interp":
+                cold_costs.append(response.dynamic_cost)
+            else:
+                if not hot_costs:
+                    print(
+                        f"request {number:>2}: function went hot -> served "
+                        f"by MC-SSAPRE compiled from the live profile"
+                    )
+                hot_costs.append(response.dynamic_cost)
+            # Let a promotion build land before the next request, so the
+            # tier-up point is the same on every run.
+            service.adapt.drain(timeout=30.0)
 
     avg = lambda xs: sum(xs) / len(xs) if xs else 0.0
     print(f"\ninterpreted requests: {len(cold_costs)}  "

@@ -25,7 +25,6 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.function import BasicBlock, Function
 from repro.ir.printer import format_function
 from repro.ir.values import Const, Var
-from repro.jit import AdaptiveCompiler
 from repro.lang.parser import parse_function, parse_program
 from repro.passes import (
     AnalysisCache,
@@ -47,7 +46,6 @@ from repro.profiles.profile import ExecutionProfile
 __version__ = "1.1.0"
 
 __all__ = [
-    "AdaptiveCompiler",
     "AnalysisCache",
     "BasicBlock",
     "Const",

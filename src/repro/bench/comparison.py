@@ -82,13 +82,13 @@ def compare_workload(name: str) -> SizeComparison:
     prepared = prepare(workload.program.func)
     train = run_function(prepared, workload.train_args)
 
-    ssa_version = prepare(workload.program.func)
+    ssa_version = prepared.clone()
     construct_ssa(ssa_version)
     mc_ssa_result = run_mc_ssapre(ssa_version, train.profile.nodes_only())
     destruct_ssa(ssa_version)
     mc_ssa_run = run_function(ssa_version, workload.train_args)
 
-    cfg_version = prepare(workload.program.func)
+    cfg_version = prepared.clone()
     mc_pre_result = run_mc_pre(cfg_version, train.profile)
     mc_pre_run = run_function(cfg_version, workload.train_args)
 

@@ -1,7 +1,8 @@
 """MC-SSAPRE step 3 — sparse data flow on the SSA graph.
 
-Two attributes are solved directly on the FRG with the one-pass
-propagation style of [14], each linear in the size of the graph:
+Two attributes are solved directly on the FRG, each one
+:func:`~repro.core.ssapre.frg.propagate` call in the one-pass style of
+[14], linear in the size of the graph:
 
 * **Full availability** (forward, greatest fixpoint).  A Φ's value is
   fully available iff every operand carries the value: a ⊥ operand makes
@@ -24,88 +25,44 @@ and against the (one-sided) lexical oracle everywhere.
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.core.ssapre.frg import FRG, PhiNode
+from repro.core.ssapre.frg import FRG, PhiNode, propagate
 
 
 def compute_full_availability(frg: FRG) -> None:
-    """Set ``fully_avail`` on every Φ (greatest fixpoint)."""
+    """Set ``fully_avail`` on every Φ (greatest fixpoint).
+
+    Unavailability starts at the Φs with a ⊥ operand and flows to the
+    users of a Φ's value through operands without a crossing real use.
+    """
+    unavailable = propagate(
+        (phi for phi in frg.phis if any(op.is_bottom for op in phi.operands)),
+        lambda operand: not operand.has_real_use,
+    )
     for phi in frg.phis:
-        phi.fully_avail = True
-
-    # Users of each phi's value via operands without a crossing real use.
-    dependents: dict[int, list[PhiNode]] = {}
-    for phi in frg.phis:
-        for operand in phi.operands:
-            if (
-                isinstance(operand.def_node, PhiNode)
-                and not operand.has_real_use
-            ):
-                dependents.setdefault(id(operand.def_node), []).append(phi)
-
-    worklist: deque[PhiNode] = deque()
-
-    def refute(phi: PhiNode) -> None:
-        if phi.fully_avail:
-            phi.fully_avail = False
-            worklist.append(phi)
-
-    for phi in frg.phis:
-        if any(op.is_bottom for op in phi.operands):
-            refute(phi)
-    while worklist:
-        failed = worklist.popleft()
-        for user in dependents.get(id(failed), ()):
-            # The operand carries the value only via `failed`, which does
-            # not have it on all paths.
-            refute(user)
+        phi.fully_avail = phi not in unavailable
 
 
 def compute_partial_anticipability(frg: FRG) -> None:
     """Set ``part_anticipated`` on every Φ (least fixpoint).
 
-    An rg_excluded occurrence still anticipates the value — it is a real
-    computation point; exclusion only means it cannot be a min-cut sink.
+    Seeds are the Φs whose version a real occurrence uses — directly, or
+    on the path to an operand (``has_real_use``).  An rg_excluded
+    occurrence still anticipates the value — it is a real computation
+    point; exclusion only means it cannot be a min-cut sink.  The value
+    flows backward to the Φs defining every operand, whatever its
+    crossing status: even if a real occurrence sits on the path, the
+    *value* is anticipated.
     """
+    seeds = [
+        occ.def_node for occ in frg.real_occs
+        if isinstance(occ.def_node, PhiNode)
+    ] + [
+        op.def_node for phi in frg.phis for op in phi.operands
+        if op.has_real_use and isinstance(op.def_node, PhiNode)
+    ]
+    anticipated = propagate(seeds, lambda operand: True, backward=True)
     for phi in frg.phis:
-        phi.part_anticipated = False
-
-    # def phi -> phis using it as an operand (any crossing status: even if
-    # a real occurrence sits on the path, the *value* is anticipated).
-    users_of: dict[int, list[PhiNode]] = {}
-    for phi in frg.phis:
-        for operand in phi.operands:
-            if isinstance(operand.def_node, PhiNode):
-                users_of.setdefault(id(operand.def_node), []).append(phi)
-
-    worklist: deque[PhiNode] = deque()
-
-    def assert_pant(phi: PhiNode) -> None:
-        if not phi.part_anticipated:
-            phi.part_anticipated = True
-            worklist.append(phi)
-
-    for occ in frg.real_occs:
-        if isinstance(occ.def_node, PhiNode):
-            assert_pant(occ.def_node)
-    for phi in frg.phis:
-        for operand in phi.operands:
-            if isinstance(operand.def_node, PhiNode) and operand.has_real_use:
-                # A real occurrence on the path from def to this operand
-                # uses the def's value.
-                assert_pant(operand.def_node)
-    while worklist:
-        anticipated = worklist.popleft()
-        for user_list_phi in _defs_feeding(frg, anticipated):
-            assert_pant(user_list_phi)
-
-
-def _defs_feeding(frg: FRG, phi: PhiNode):
-    """Φs whose value flows into *phi* as an operand (backward step)."""
-    for operand in phi.operands:
-        if isinstance(operand.def_node, PhiNode):
-            yield operand.def_node
+        phi.part_anticipated = phi in anticipated
 
 
 def solve_step3(frg: FRG) -> None:

@@ -180,7 +180,7 @@ def run_mc_ssapre(
                     dataflow = solve_pre_dataflow(
                         fn, [e.key for e in work]
                     )
-                run_safe_steps(frg, dataflow=dataflow)
+                run_safe_steps(frg, dataflow)
                 result.trapping_fallbacks += 1
             else:
                 solve_step3(frg)  # step 3

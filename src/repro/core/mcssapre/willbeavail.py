@@ -14,36 +14,17 @@ unchanged.
 
 from __future__ import annotations
 
-from repro.core.ssapre.frg import FRG, PhiNode
+from repro.core.ssapre.frg import FRG, propagate
 
 
 def compute_will_be_avail_from_cut(frg: FRG) -> None:
     """The Compute_will_be_avail / Reset_will_be_avail pair of Figure 7."""
-    users_via_plain_operand: dict[int, list[PhiNode]] = {}
+    reset = propagate(
+        (
+            phi for phi in frg.phis
+            if any(op.is_bottom and not op.insert for op in phi.operands)
+        ),
+        lambda operand: not operand.has_real_use and not operand.insert,
+    )
     for phi in frg.phis:
-        for operand in phi.operands:
-            if (
-                isinstance(operand.def_node, PhiNode)
-                and not operand.has_real_use
-                and not operand.insert
-            ):
-                users_via_plain_operand.setdefault(
-                    id(operand.def_node), []
-                ).append(phi)
-
-    def reset(phi: PhiNode) -> None:
-        stack = [phi]
-        while stack:
-            current = stack.pop()
-            if not current.will_be_avail:
-                continue
-            current.will_be_avail = False
-            stack.extend(users_via_plain_operand.get(id(current), ()))
-
-    for phi in frg.phis:
-        phi.will_be_avail = True
-    for phi in frg.phis:
-        if phi.will_be_avail and any(
-            operand.is_bottom and not operand.insert for operand in phi.operands
-        ):
-            reset(phi)
+        phi.will_be_avail = phi not in reset

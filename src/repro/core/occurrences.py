@@ -61,8 +61,10 @@ class OccurrenceIndex:
         self._occs: dict[int, Occurrence] = {}
         #: key → {id(stmt): Occurrence}, insertion-ordered per key.
         self._by_key: dict[ExprKey, dict[int, Occurrence]] = {}
-        #: (base name, SSA version) → ids of occurrences using that value.
-        self._uses: dict[tuple[str, int | None], set[int]] = {}
+        #: (base name, SSA version) → ids of occurrences using that value,
+        #: insertion-ordered: iterating a set of ids would tie the rewrite
+        #: order (and so new keys' first-seen order) to memory addresses.
+        self._uses: dict[tuple[str, int | None], dict[int, None]] = {}
         #: key → position of the key's first occurrence in the build scan
         #: (ties in rank are broken by this, keeping rank-0 programs in
         #: exactly the historical first-occurrence order).
@@ -99,7 +101,7 @@ class OccurrenceIndex:
             self._next_order += 1
         for operand in stmt.rhs.operands:
             if isinstance(operand, Var):
-                self._uses.setdefault((operand.name, operand.version), set()).add(sid)
+                self._uses.setdefault((operand.name, operand.version), {})[sid] = None
         self._ranks = None
 
     def remove_statement(self, stmt) -> None:
@@ -117,7 +119,7 @@ class OccurrenceIndex:
             if isinstance(operand, Var):
                 users = self._uses.get((operand.name, operand.version))
                 if users is not None:
-                    users.discard(sid)
+                    users.pop(sid, None)
                     if not users:
                         del self._uses[(operand.name, operand.version)]
         self._ranks = None
@@ -199,10 +201,12 @@ class OccurrenceIndex:
     def _compute_ranks(self) -> dict[ExprKey, int]:
         # Which live keys define each base name (via an occurrence's
         # target) — the "nesting through temp definitions" relation.
-        def_keys: dict[str, set[ExprKey]] = {}
+        # Insertion-ordered (not a set): through def cycles the walk order
+        # decides ranks, and it must not depend on the string hash seed.
+        def_keys: dict[str, dict[ExprKey, None]] = {}
         for key, occs in self._by_key.items():
             for occ in occs.values():
-                def_keys.setdefault(occ.stmt.target.name, set()).add(key)
+                def_keys.setdefault(occ.stmt.target.name, {})[key] = None
 
         ranks: dict[ExprKey, int] = {}
         GRAY = -1

@@ -30,51 +30,3 @@ def compute_down_safety(frg: FRG, dataflow: PREDataflow | None = None) -> None:
         # ant_postphi is anticipability at the point immediately after the
         # block's variable phis — exactly where the hypothetical Φ lives.
         phi.down_safe = key in dataflow.ant_postphi[phi.label]
-
-
-def compute_down_safety_sparse(frg: FRG) -> None:
-    """The rename-driven DownSafety of Kennedy et al. [14].
-
-    Initialisation comes from hints recorded during Rename: a Φ whose
-    version was observed dying unused along some dominator-walk path
-    (killed by an operand redefinition, or live at a program exit) starts
-    as not down-safe.  Unsafety then propagates backward through Φ
-    operands that carry no real use.
-
-    The two DownSafety variants are *incomparable* approximations of true
-    (value-level) anticipability, and both err only toward False:
-
-    * the bit-vector oracle reasons lexically, so it misses values that
-      survive a renaming variable-phi (where this sparse variant, working
-      on h-versions, is exact);
-    * the rename walk records version deaths along dominator paths, so a
-      version kept alive only by uses in sibling branches can be flagged
-      although the expression is anticipated (where the oracle is exact).
-
-    Under-approximating down-safety only costs optimisation opportunities,
-    never safety; ``tests/core/test_downsafety_sparse.py`` demonstrates
-    the incomparability on concrete seeds and checks the behavioural
-    safety property for both.
-    """
-    from collections import deque
-
-    from repro.core.ssapre.frg import PhiNode
-
-    for phi in frg.phis:
-        phi.down_safe = phi.rename_down_safe
-
-    worklist = deque(phi for phi in frg.phis if not phi.down_safe)
-    dependents: dict[int, list[PhiNode]] = {}
-    for phi in frg.phis:
-        for operand in phi.operands:
-            if (
-                isinstance(operand.def_node, PhiNode)
-                and not operand.has_real_use
-            ):
-                dependents.setdefault(id(phi), []).append(operand.def_node)
-    while worklist:
-        unsafe = worklist.popleft()
-        for feeder in dependents.get(id(unsafe), ()):
-            if feeder.down_safe:
-                feeder.down_safe = False
-                worklist.append(feeder)

@@ -30,10 +30,7 @@ from repro.core.worklist import RoundStats, run_rounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.passes.cache import AnalysisCache
-from repro.core.ssapre.downsafety import (
-    compute_down_safety,
-    compute_down_safety_sparse,
-)
+from repro.core.ssapre.downsafety import compute_down_safety
 from repro.core.ssapre.finalize import finalize
 from repro.core.ssapre.frg import FRG, ExprClass, build_frgs
 from repro.core.ssapre.speculation import apply_loop_speculation
@@ -72,22 +69,18 @@ class PREResult:
 
 def run_safe_steps(
     frg: FRG,
-    *,
-    dataflow: PREDataflow | None = None,
+    dataflow: PREDataflow,
     forest: LoopForest | None = None,
 ) -> int:
     """The per-class safe-PRE step sequence shared by both drivers.
 
-    DownSafety (oracle when *dataflow* is given, sparse otherwise),
+    DownSafety read off the bit-vector anticipability solve *dataflow*,
     optional loop speculation when a *forest* is supplied, then
     WillBeAvail.  Returns the number of phis speculation promoted.  The
     MC driver routes trapping expressions through exactly this sequence,
     so the fallback is the safe algorithm by construction, not a copy.
     """
-    if dataflow is not None:
-        compute_down_safety(frg, dataflow)
-    else:
-        compute_down_safety_sparse(frg)
+    compute_down_safety(frg, dataflow)
     speculated = 0
     if forest is not None:
         speculated = apply_loop_speculation(frg, forest)
@@ -100,22 +93,20 @@ def run_ssapre(
     speculate_loops: bool = False,
     validate: bool = False,
     classes: list[ExprClass] | None = None,
-    down_safety: str = "oracle",
     cache: "AnalysisCache | None" = None,
     rounds: int = 1,
 ) -> PREResult:
     """Run safe SSAPRE (or SSAPREsp when ``speculate_loops``) in place.
 
-    ``down_safety`` selects the DownSafety implementation: ``"oracle"``
-    (exact, bit-vector anticipability) or ``"sparse"`` (Kennedy's
-    rename-driven propagation; conservative, never unsafe).  CFG-derived
+    DownSafety is CFG anticipability from one bit-vector solve per round
+    (:func:`~repro.core.ssapre.downsafety.compute_down_safety`); the
+    WillBeAvail attributes and the SSAPREsp loop chase are
+    :func:`~repro.core.ssapre.frg.propagate` over the FRG.  CFG-derived
     analyses (dominators, frontiers, loops) come from *cache* when given.
     ``rounds`` bounds the iterative worklist: 1 (default) is the classic
     one-shot driver; more rounds chase second-order redundancy exposed
     by earlier code motion.
     """
-    if down_safety not in ("oracle", "sparse"):
-        raise ValueError(f"unknown down_safety mode {down_safety!r}")
     if has_critical_edges(func):
         raise ValueError(
             "SSAPRE requires critical edges to be split first "
@@ -135,9 +126,7 @@ def run_ssapre(
         # temporaries, so neither the other classes' FRGs nor their
         # data-flow facts are invalidated.
         frgs = build_frgs(fn, work, cache=cache)
-        dataflow = None
-        if down_safety == "oracle":
-            dataflow = solve_pre_dataflow(fn, [expr.key for expr in work])
+        dataflow = solve_pre_dataflow(fn, [expr.key for expr in work])
         forest = loop_forest_of(fn, cache) if speculate_loops else None
 
         reports = []
@@ -145,9 +134,7 @@ def run_ssapre(
             frg = frgs[expr.key]
             if not frg.real_occs:
                 continue
-            result.speculated_phis += run_safe_steps(
-                frg, dataflow=dataflow, forest=forest
-            )
+            result.speculated_phis += run_safe_steps(frg, dataflow, forest)
             plan = finalize(frg)
             report = apply_code_motion(fn, plan)
             reports.append(report)

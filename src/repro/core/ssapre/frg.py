@@ -20,12 +20,17 @@ and can be excluded from the reduced graph.
 
 The resulting :class:`FRG` is the "SSA graph" out of which MC-SSAPRE forms
 its flow network, and on which classic SSAPRE runs its sparse analyses.
+Rename also records each Φ's *users* — the Φ operands its version flows
+into — and :func:`propagate` is the one worklist over that def-use index:
+every boolean Φ attribute of both drivers (full availability, partial
+anticipability, can-be-avail, later, will-be-avail from the cut, the
+SSAPREsp in-loop use chase) is the set of Φs it reaches from some seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.passes.cache import AnalysisCache
@@ -178,10 +183,9 @@ class PhiNode:
     fully_avail: bool = False  # MC-SSAPRE step 3
     part_anticipated: bool = False  # MC-SSAPRE step 3
     in_reduced: bool = False  # MC-SSAPRE step 4
-    #: Rename-time hint for the sparse DownSafety variant: cleared when
-    #: the Φ's version was observed dying unused along some walk path
-    #: (killed by an operand redefinition, or live at a program exit).
-    rename_down_safe: bool = True
+    #: The def-use index: operands (of this or other Φs) whose value is
+    #: this Φ's version, recorded by Rename.
+    users: list[PhiOperand] = field(default_factory=list)
 
     def operand_for(self, pred: str) -> PhiOperand:
         for operand in self.operands:
@@ -213,17 +217,6 @@ class FRG:
             if phi.label == label:
                 return phi
         return None
-
-    def phi_uses(self, phi: PhiNode) -> tuple[list[PhiOperand], list[RealOcc]]:
-        """All uses of *phi*'s version: operand uses and real-occ uses."""
-        operand_uses = [
-            operand
-            for other in self.phis
-            for operand in other.operands
-            if operand.def_node is phi
-        ]
-        real_uses = [occ for occ in self.real_occs if occ.def_node is phi]
-        return operand_uses, real_uses
 
     def node_count(self) -> int:
         return len(self.phis) + len(self.real_occs)
@@ -276,39 +269,31 @@ class _Renamer:
         cfg: CFG,
         domtree: DominatorTree,
         frgs: dict[ExprKey, FRG],
-        phi_blocks: dict[ExprKey, set[str]],
-        pruned_merges: dict[str, set[ExprKey]] | None = None,
+        phi_blocks: dict[ExprKey, list[str]],
     ) -> None:
         self.func = func
         self.cfg = cfg
         self.domtree = domtree
         self.frgs = frgs
-        self.pruned_merges = pruned_merges or {}
         # Variable version stacks (the program is in SSA; the stacks recover
         # "current version at point p" during the walk).
         self.var_stacks: dict[str, list[int]] = {}
         self.expr_stacks: dict[ExprKey, list[_StackEntry]] = {
             key: [] for key in frgs
         }
-        # Classes indexed by operand base name, for kill processing.
-        self.classes_by_var: dict[str, list[ExprKey]] = {}
         # Load classes indexed by array symbol, for store-kill processing.
         self.loads_by_array: dict[str, list[ExprKey]] = {}
         for key, frg in frgs.items():
-            for name in frg.expr.var_names:
-                self.classes_by_var.setdefault(name, []).append(key)
             if frg.expr.is_load:
                 self.loads_by_array.setdefault(frg.expr.array, []).append(key)
         #: monotone counter making store-kill sentinel values unique.
         self._kill_serial = 0
         # Pre-created PhiNodes indexed by block label (sparse: iterating
         # per block must not touch classes with no Φ there).
-        self.phi_nodes: dict[tuple[ExprKey, str], PhiNode] = {}
         self.phis_by_label: dict[str, list[tuple[ExprKey, PhiNode]]] = {}
         for key, labels in phi_blocks.items():
-            for label in labels:
+            for label in labels:  # block order: Φ order decides temp names
                 node = PhiNode(label=label)
-                self.phi_nodes[(key, label)] = node
                 self.phis_by_label.setdefault(label, []).append((key, node))
                 frgs[key].phis.append(node)
 
@@ -370,7 +355,6 @@ class _Renamer:
 
         # 1. Variable phis define new versions at the head of the block.
         for phi in block.phis:
-            self._note_kill(phi.target.name)
             self.push_var(phi.target, pushed)
 
         # 2. Hypothetical Φs: each defines a new version of h.
@@ -396,16 +380,9 @@ class _Renamer:
                     key = stmt.rhs.class_key()
                     if key in self.frgs:
                         self._visit_occurrence(key, label, stmt, index, pushed)
-                self._note_kill(stmt.target.name)
                 self.push_var(stmt.target, pushed)
             elif isinstance(stmt, Store):
                 self._note_store_kill(stmt, pushed)
-
-        # 3b. DownSafety hint: a Φ-defined version live at a program exit
-        # without a real use along this walk path is not down-safe.
-        if not block.terminator.successors():
-            for key in self.frgs:
-                self._note_unused_top(key)
 
         # 4. Fill Φ operands of successors from the end-of-block state.
         seen_succs: set[str] = set()
@@ -415,19 +392,7 @@ class _Renamer:
             seen_succs.add(succ)
             for key, node in self.phis_by_label.get(succ, ()):
                 self._fill_phi_operand(key, self.frgs[key], node, label)
-            # DownSafety hint: versions flowing into a pruned merge point
-            # die there (no occurrence is reachable beyond it).
-            for key in self.pruned_merges.get(succ, ()):
-                self._note_unused_top(key)
         return pushed
-
-    def _note_kill(self, base_name: str) -> None:
-        """DownSafety hint: redefining an operand kills the current
-        version of every class using it; if that version came from a Φ
-        and was never used by a real occurrence on this path, the Φ is
-        not down-safe."""
-        for key in self.classes_by_var.get(base_name, ()):
-            self._note_unused_top(key)
 
     def _note_store_kill(self, stmt: Store, pushed: list) -> None:
         """A may-aliasing store ends the current version of a load class.
@@ -439,13 +404,11 @@ class _Renamer:
         break the version explicitly: a sentinel stack entry with operand
         values no real occurrence can match forces the next occurrence
         (and any Φ operand filled downstream on this walk path) to start
-        a new version / resolve to ⊥.  The DownSafety hint fires first,
-        exactly as for operand kills.
+        a new version / resolve to ⊥.
         """
         for key in self.loads_by_array.get(stmt.array, ()):
             if not store_kills_key(stmt.array, stmt.index, key):
                 continue
-            self._note_unused_top(key)
             self._kill_serial += 1
             self.expr_stacks[key].append(
                 _StackEntry(
@@ -456,13 +419,6 @@ class _Renamer:
                 )
             )
             pushed.append(("expr", key))
-
-    def _note_unused_top(self, key: ExprKey) -> None:
-        stack = self.expr_stacks[key]
-        if stack:
-            top = stack[-1]
-            if top.real_seen is None and isinstance(top.def_node, PhiNode):
-                top.def_node.rename_down_safe = False
 
     def _visit_occurrence(
         self, key: ExprKey, label: str, stmt: Assign, index: int, pushed: list
@@ -534,10 +490,8 @@ class _Renamer:
             operand.def_node = top.def_node
             operand.crossing_real = top.real_seen
             operand.has_real_use = top.real_seen is not None
-        else:
-            # Stays ⊥ — and whatever version was current at this pred dies
-            # on the edge without flowing into the merge (DownSafety hint).
-            self._note_unused_top(key)
+            if isinstance(top.def_node, PhiNode):
+                top.def_node.users.append(operand)
 
 
 def build_frgs(
@@ -562,6 +516,7 @@ def build_frgs(
         classes = collect_expr_classes(func)
 
     reachable = set(domtree.rpo)
+    block_order = {label: i for i, label in enumerate(func.blocks)}
     wanted = {expr.key for expr in classes}
 
     # One pass over the program: occurrence blocks per class, variable-phi
@@ -605,8 +560,7 @@ def build_frgs(
         return seen
 
     frgs: dict[ExprKey, FRG] = {}
-    phi_blocks: dict[ExprKey, set[str]] = {}
-    pruned_merges: dict[str, set[ExprKey]] = {}
+    phi_blocks: dict[ExprKey, list[str]] = {}
     for expr in classes:
         frgs[expr.key] = FRG(expr=expr, func=func, cfg=cfg, domtree=domtree)
         useful = reaches_an_occurrence(expr.key)
@@ -625,19 +579,46 @@ def build_frgs(
         )
         placed = iterated_dominance_frontier(frontiers, seeds) | operand_phi_blocks
         placed &= reachable
-        phi_blocks[expr.key] = {label for label in placed if label in useful}
-        # Merge points dropped by the usefulness prune still end the
-        # lifetime of any version flowing into them; Rename fires the
-        # DownSafety "dies unused" hint on edges into these blocks.
-        for label in placed - phi_blocks[expr.key]:
-            pruned_merges.setdefault(label, set()).add(expr.key)
+        phi_blocks[expr.key] = sorted(placed & useful, key=block_order.__getitem__)
 
-    renamer = _Renamer(func, cfg, domtree, frgs, phi_blocks, pruned_merges)
-    renamer.run()
+    _Renamer(func, cfg, domtree, frgs, phi_blocks).run()
 
     for frg in frgs.values():
         _check_frg(frg)
     return frgs
+
+
+def propagate(
+    seeds: Iterable[PhiNode],
+    follows: Callable[[PhiOperand], bool],
+    *,
+    backward: bool = False,
+) -> set[PhiNode]:
+    """Every Φ reachable from *seeds* over Φ-operand def-use edges.
+
+    Forward, a Φ reaches the Φ owning each of its :attr:`PhiNode.users`;
+    backward, it reaches the Φ defining each of its operands.  An edge is
+    taken only when ``follows(operand)`` holds for the operand on it.
+    Each boolean Φ attribute is this set (or its complement) for its own
+    seeds and edge filter — the unique fixpoint of a monotone system, so
+    the visit order cannot change it.
+    """
+    reached = set(seeds)
+    stack = list(reached)
+    while stack:
+        phi = stack.pop()
+        if backward:
+            edges = [
+                (op, op.def_node) for op in phi.operands
+                if isinstance(op.def_node, PhiNode)
+            ]
+        else:
+            edges = [(op, op.phi) for op in phi.users]
+        for operand, nxt in edges:
+            if nxt not in reached and follows(operand):
+                reached.add(nxt)
+                stack.append(nxt)
+    return reached
 
 
 def build_frg(func: Function, expr: ExprClass) -> FRG:

@@ -16,7 +16,7 @@ speculated (paper Section 2).
 from __future__ import annotations
 
 from repro.analysis.loops import LoopForest
-from repro.core.ssapre.frg import FRG
+from repro.core.ssapre.frg import FRG, propagate
 from repro.ir.memory import key_may_trap
 
 
@@ -48,23 +48,10 @@ def apply_loop_speculation(frg: FRG, forest: LoopForest | None = None) -> int:
 
 
 def _used_inside_loop(frg: FRG, phi, loop_blocks: set[str]) -> bool:
-    """Is the Φ's version computed by a real occurrence inside the loop?"""
-    for occ in frg.real_occs:
-        if occ.label in loop_blocks and occ.def_node is phi:
-            return True
-    # The version may also flow through an inner-loop Φ before being
-    # computed; chase operand uses within the loop.
-    seen = {id(phi)}
-    worklist = [phi]
-    while worklist:
-        current = worklist.pop()
-        operand_uses, real_uses = frg.phi_uses(current)
-        for occ in real_uses:
-            if occ.label in loop_blocks:
-                return True
-        for operand in operand_uses:
-            user = operand.phi
-            if user.label in loop_blocks and id(user) not in seen:
-                seen.add(id(user))
-                worklist.append(user)
-    return False
+    """Is the Φ's version computed by a real occurrence inside the loop,
+    directly or after flowing through Φs inside the loop?"""
+    carriers = propagate([phi], lambda operand: operand.phi.label in loop_blocks)
+    return any(
+        occ.label in loop_blocks and occ.def_node in carriers
+        for occ in frg.real_occs
+    )

@@ -20,63 +20,37 @@ semantics, which is why Finalize and CodeMotion are shared.
 
 from __future__ import annotations
 
-from collections import deque
-
-from repro.core.ssapre.frg import FRG, PhiNode
+from repro.core.ssapre.frg import FRG, PhiNode, propagate
 
 
 def compute_will_be_avail(frg: FRG) -> None:
     """Fill can_be_avail / later / will_be_avail / operand insert flags."""
-    _compute_can_be_avail(frg)
-    _compute_later(frg)
+    # Un-availability starts at non-down-safe Φs with a ⊥ operand and
+    # reaches the non-down-safe users of a Φ's value through operands
+    # without a crossing real use.
+    cannot = propagate(
+        (
+            phi for phi in frg.phis
+            if not phi.down_safe and any(op.is_bottom for op in phi.operands)
+        ),
+        lambda operand: not operand.has_real_use and not operand.phi.down_safe,
+    )
     for phi in frg.phis:
+        phi.can_be_avail = phi not in cannot
+    # Availability that cannot be postponed starts at can-be-avail Φs
+    # with an operand crossing a real occurrence and reaches every
+    # can-be-avail user.
+    not_later = propagate(
+        (
+            phi for phi in frg.phis
+            if phi.can_be_avail and any(op.has_real_use for op in phi.operands)
+        ),
+        lambda operand: operand.phi.can_be_avail,
+    )
+    for phi in frg.phis:
+        phi.later = phi.can_be_avail and phi not in not_later
         phi.will_be_avail = phi.can_be_avail and not phi.later
     _mark_inserts(frg)
-
-
-def _compute_can_be_avail(frg: FRG) -> None:
-    for phi in frg.phis:
-        phi.can_be_avail = True
-    worklist: deque[PhiNode] = deque()
-    for phi in frg.phis:
-        if not phi.down_safe and any(op.is_bottom for op in phi.operands):
-            phi.can_be_avail = False
-            worklist.append(phi)
-    while worklist:
-        failed = worklist.popleft()
-        for user in frg.phis:
-            if not user.can_be_avail or user.down_safe:
-                continue
-            for operand in user.operands:
-                if (
-                    operand.def_node is failed
-                    and not operand.has_real_use
-                ):
-                    user.can_be_avail = False
-                    worklist.append(user)
-                    break
-
-
-def _compute_later(frg: FRG) -> None:
-    for phi in frg.phis:
-        phi.later = phi.can_be_avail
-    worklist: deque[PhiNode] = deque()
-    for phi in frg.phis:
-        if phi.later and any(
-            (not op.is_bottom) and op.has_real_use for op in phi.operands
-        ):
-            phi.later = False
-            worklist.append(phi)
-    while worklist:
-        available = worklist.popleft()
-        for user in frg.phis:
-            if not user.later:
-                continue
-            for operand in user.operands:
-                if operand.def_node is available and not operand.is_bottom:
-                    user.later = False
-                    worklist.append(user)
-                    break
 
 
 def _mark_inserts(frg: FRG) -> None:

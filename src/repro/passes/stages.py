@@ -117,11 +117,9 @@ class SSAPREPass(Pass):
     def __init__(
         self,
         speculate_loops: bool = False,
-        down_safety: str = "oracle",
         rounds: int = 1,
     ):
         self.speculate_loops = speculate_loops
-        self.down_safety = down_safety
         self.rounds = rounds
         self.name = "ssapre-sp" if speculate_loops else "ssapre"
         if rounds > 1:
@@ -140,7 +138,6 @@ class SSAPREPass(Pass):
             func,
             speculate_loops=self.speculate_loops,
             validate=ctx.validate,
-            down_safety=self.down_safety,
             cache=ctx.cache,
             rounds=self.rounds,
         )

@@ -63,6 +63,30 @@ class TestDownSafety:
         j_phi = frg.phi_at("j")
         assert j_phi is not None and not j_phi.down_safe
 
+    def test_sibling_uses_keep_phi_down_safe(self):
+        """Uses in both sibling branches below a merge: the expression is
+        anticipated on every path out of the merge's Φ, so it is
+        down-safe although no single dominator-tree path holds both uses."""
+        b = FunctionBuilder("f", params=["a", "b", "p", "q"])
+        b.block("entry")
+        b.branch("p", "l", "r")
+        b.block("l")
+        b.assign("x", "add", "a", "b")
+        b.jump("mid")
+        b.block("r")
+        b.jump("mid")
+        b.block("mid")      # Φ here: one real operand, one bottom
+        b.branch("q", "u1", "u2")
+        b.block("u1")
+        b.assign("y", "add", "a", "b")   # uses the Φ version
+        b.ret("y")
+        b.block("u2")
+        b.assign("z", "add", "a", "b")   # uses the Φ version
+        b.ret("z")
+        frg = build_frg(as_ssa(b.build()), AB)
+        compute_down_safety(frg)
+        assert frg.phi_at("mid").down_safe
+
 
 class TestSafeWillBeAvail:
     def test_diamond_insert_on_bottom_operand(self, diamond):
