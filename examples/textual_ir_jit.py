@@ -16,7 +16,8 @@ Run:  python examples/textual_ir_jit.py
 
 from repro.lang.parser import parse_function
 from repro.ir.printer import format_function
-from repro.pipeline import compile_variant, prepare
+from repro.passes import compile
+from repro.pipeline import prepare
 from repro.profiles.counts import normalize_expr_counts
 from repro.profiles.interp import run_function
 from repro.profiles.profile import ExecutionProfile
@@ -67,7 +68,7 @@ def main() -> None:
           f"{sum(counters.node_freq.values())} block executions profiled")
 
     # --- recompile with the accumulated node counters -----------------
-    compiled = compile_variant(prepared, "mc-ssapre", profile=counters)
+    compiled = compile(prepared, "mc-ssapre", counters)
 
     # --- measure a fresh request --------------------------------------
     request = [4, 6, 60]

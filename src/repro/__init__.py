@@ -30,7 +30,7 @@ from repro.passes import (
     AnalysisCache,
     PassManager,
     PassReport,
-    build_pipeline,
+    PipelineConfig,
     compile,  # noqa: A004 - the package's compile *is* the entry point
 )
 from repro.pipeline import (
@@ -55,9 +55,9 @@ __all__ = [
     "PAPER_VARIANTS",
     "PassManager",
     "PassReport",
+    "PipelineConfig",
     "VARIANTS",
     "Var",
-    "build_pipeline",
     "compile",
     "compile_variant",
     "format_function",

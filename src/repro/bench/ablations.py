@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from repro.analysis.liveness import compute_liveness
 from repro.baselines.mcpre import run_mc_pre
 from repro.bench.workloads import load_workload
+from repro.check.oracles import TEMP_PREFIXES, temp_live_range_size
 from repro.core.mcssapre.driver import run_mc_ssapre
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, BinOp, UnaryOp
@@ -22,17 +23,6 @@ from repro.ssa.construct import construct_ssa
 from repro.ssa.destruct import destruct_ssa
 
 
-def temp_live_range_size(func: Function) -> int:
-    """Number of (block, temp-version) live-in pairs for PRE temps."""
-    liveness = compute_liveness(func, by_version=True)
-    return sum(
-        1
-        for label in func.blocks
-        for name, _version in liveness.live_in.get(label, ())
-        if name.startswith("%pre")
-    )
-
-
 def temp_weighted_pressure(func: Function, node_freq: dict[str, int]) -> int:
     """Profile-weighted count of live PRE temporaries per block."""
     liveness = compute_liveness(func, by_version=True)
@@ -40,7 +30,7 @@ def temp_weighted_pressure(func: Function, node_freq: dict[str, int]) -> int:
         node_freq.get(label, 0)
         for label in func.blocks
         for name, _version in liveness.live_in.get(label, ())
-        if name.startswith("%pre")
+        if name.startswith(TEMP_PREFIXES)
     )
 
 

@@ -23,7 +23,7 @@ import time
 
 from repro.bench.workloads import load_workload
 from repro.core.worklist import DEFAULT_ITERATIVE_ROUNDS
-from repro.passes.compiler import VARIANTS, compile as compile_func
+from repro.passes.compiler import VARIANTS, PipelineConfig, compile as compile_func
 from repro.passes.manager import render_report
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
@@ -60,18 +60,19 @@ def passes_payload(solver: str = "mincut") -> list[dict]:
     workload = load_workload(DEFAULT_BENCHMARK)
     prepared = prepare(workload.program.func)
     profile = run_function(prepared, workload.train_args).profile
+    mc = PipelineConfig("mc-ssapre", solver=solver)
     reports = [
         compile_func(
-            prepared, variant, profile,
-            solver=solver if variant == "mc-ssapre" else "mincut",
+            prepared, mc if variant == "mc-ssapre" else variant, profile
         ).report.to_dict()
         for variant in VARIANTS
     ]
     # The iterative twin, so the record shows per-round stats (classes
     # processed, insertions, reloads, fixpoint).
     iterative = compile_func(
-        prepared, "mc-ssapre", profile,
-        rounds=DEFAULT_ITERATIVE_ROUNDS, solver=solver,
+        prepared, PipelineConfig(
+            "mc-ssapre", rounds=DEFAULT_ITERATIVE_ROUNDS, solver=solver
+        ), profile,
     ).report
     iterative.variant = "mc-ssapre-iter"
     reports.append(iterative.to_dict())

@@ -32,14 +32,14 @@ from repro.check.corpus import (
 from repro.check.driver import (
     DEFAULT_ENGINE,
     DEFAULT_INPUTS,
-    ENGINES,
     SHAPES,
-    SOLVER_CHOICES,
     failure_predicate,
     run_driver,
 )
 from repro.check.oracles import DEFAULT_MAX_STEPS, ORACLE_NAMES
 from repro.check.reducer import reduce_function
+from repro.core.solvers.base import SOLVER_NAMES
+from repro.pipeline import ENGINES
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -86,7 +86,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         f"uses the reference interpreter (default {DEFAULT_ENGINE})",
     )
     parser.add_argument(
-        "--solver", choices=SOLVER_CHOICES, default="mincut",
+        "--solver", choices=SOLVER_NAMES, default="mincut",
         help="speculation solver for the mc-ssapre variants: the exact "
         "min-cut back end, the linear-time lospre DP, or auto (shape "
         "classifier picks per function).  The mc-ssapre-lospre twin "

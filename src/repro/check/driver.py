@@ -23,6 +23,7 @@ a stored failure replay years later from two integers and a string.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -38,7 +39,7 @@ from repro.ir.function import Function
 from repro.ir.verifier import VerificationError, verify_function
 from repro.parallel import ParallelMapError, parallel_map
 from repro.passes.cache import AnalysisCache
-from repro.passes.compiler import VARIANTS, compile as compile_func
+from repro.passes.compiler import VARIANTS, PipelineConfig, compile as compile_func
 from repro.pipeline import prepare
 from repro.profiles.interp import InterpreterError, run_function
 from repro.check.oracles import (
@@ -74,17 +75,14 @@ ITERATIVE_VARIANTS = {"ssapre-iter": "ssapre", "mc-ssapre-iter": "mc-ssapre"}
 #: so the twin exists on every case).
 SOLVER_TWIN = "mc-ssapre-lospre"
 
-#: Solver knobs ``build_case`` accepts for the main mc-ssapre compiles.
-SOLVER_CHOICES = ("mincut", "lospre", "auto")
-
 #: Inputs per case: index 0 trains the profile, the rest are ref-like.
 DEFAULT_INPUTS = 3
 
-#: Execution back ends for the *variant* runs.  The control always runs
-#: on the tree-walking reference interpreter (it is the semantics
-#: oracle), so fuzzing with the default "compiled" engine differentially
-#: tests the compiled back end on every case for free.
-ENGINES = ("compiled", "reference")
+#: Execution back end for the *variant* runs (one of
+#: :data:`repro.pipeline.ENGINES`).  The control always runs on the
+#: tree-walking reference interpreter (it is the semantics oracle), so
+#: fuzzing with the default "compiled" engine differentially tests the
+#: compiled back end on every case for free.
 DEFAULT_ENGINE = "compiled"
 
 
@@ -301,33 +299,25 @@ def build_case(
             cache=AnalysisCache(prepared),
         ),
     )
-    if solver not in SOLVER_CHOICES:
-        raise ValueError(
-            f"unknown solver {solver!r}; expected one of {SOLVER_CHOICES}"
-        )
-
-    def _solver_for(base: str) -> str:
-        return solver if base == "mc-ssapre" else "mincut"
-
-    compiled: dict[str, Function] = {}
-    caches: dict[str, object] = {}
-    to_compile: list[tuple[str, str, int, str]] = [
-        (variant, variant, 1, _solver_for(variant)) for variant in variants
-    ]
+    main_mc = PipelineConfig("mc-ssapre", solver=solver)
+    configs = {
+        variant: main_mc if variant == "mc-ssapre" else PipelineConfig(variant)
+        for variant in variants
+    }
     if iterative:
-        to_compile.extend(
-            (name, base, ITERATIVE_ROUNDS, _solver_for(base))
+        configs.update(
+            (name, dataclasses.replace(configs[base], rounds=ITERATIVE_ROUNDS))
             for name, base in ITERATIVE_VARIANTS.items()
             if base in variants
         )
     if "mc-ssapre" in variants:
-        to_compile.append((SOLVER_TWIN, "mc-ssapre", 1, "lospre"))
-    for name, base, rounds, base_solver in to_compile:
+        configs[SOLVER_TWIN] = PipelineConfig("mc-ssapre", solver="lospre")
+
+    compiled: dict[str, Function] = {}
+    caches: dict[str, object] = {}
+    for name, config in configs.items():
         try:
-            out = compile_func(
-                prepared, base, profile, validate=True, rounds=rounds,
-                solver=base_solver,
-            )
+            out = compile_func(prepared, config, profile, validate=True)
             verify_function(out.func)
             compiled[name] = out.func
             caches[name] = out.cache

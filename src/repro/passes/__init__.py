@@ -26,9 +26,8 @@ from repro.passes.cache import AnalysisCache, AnalysisHandle
 from repro.passes.compiler import (
     VARIANTS,
     CompiledFunction,
-    build_pipeline,
+    PipelineConfig,
     compile,
-    resolve_stage,
 )
 from repro.passes.manager import (
     PassContext,
@@ -58,9 +57,8 @@ __all__ = [
     "PassManager",
     "PassReport",
     "PassVerificationError",
+    "PipelineConfig",
     "StaleAnalysisError",
     "VARIANTS",
-    "build_pipeline",
     "compile",
-    "resolve_stage",
 ]

@@ -80,6 +80,9 @@ class Pass:
     """A function transformation with a declared preservation contract."""
 
     name: str = "?"
+    #: True for the PRE stage: its payload is the compile's
+    #: :attr:`~repro.passes.compiler.CompiledFunction.pre_result`.
+    is_pre: bool = False
 
     def preserves(self) -> frozenset[str]:
         """Analyses (or the ``"cfg"`` token) still valid after this pass."""

@@ -114,6 +114,8 @@ class SSAPREPass(Pass):
     is then named with an ``-iter`` suffix so reports distinguish it).
     """
 
+    is_pre = True
+
     def __init__(
         self,
         speculate_loops: bool = False,
@@ -154,14 +156,9 @@ class MCSSAPREPass(Pass):
     """
 
     name = "mc-ssapre"
+    is_pre = True
 
-    def __init__(
-        self,
-        sink_closest: bool = True,
-        rounds: int = 1,
-        solver: str = "mincut",
-    ):
-        self.sink_closest = sink_closest
+    def __init__(self, rounds: int = 1, solver: str = "mincut"):
         self.rounds = rounds
         self.solver = solver
         if rounds > 1:
@@ -181,7 +178,6 @@ class MCSSAPREPass(Pass):
             func,
             profile.nodes_only(),
             validate=ctx.validate,
-            sink_closest=self.sink_closest,
             cache=ctx.cache,
             rounds=self.rounds,
             solver=self.solver,
@@ -190,6 +186,7 @@ class MCSSAPREPass(Pass):
 
 class MCPREBaselinePass(Pass):
     name = "mc-pre"
+    is_pre = True
 
     def preserves(self) -> frozenset[str]:
         return _CFG_ONLY
@@ -205,9 +202,7 @@ class MCPREBaselinePass(Pass):
 
 class ISPREBaselinePass(Pass):
     name = "ispre"
-
-    def __init__(self, theta: float = 0.5):
-        self.theta = theta
+    is_pre = True
 
     def preserves(self) -> frozenset[str]:
         return _CFG_ONLY
@@ -216,13 +211,14 @@ class ISPREBaselinePass(Pass):
         from repro.baselines.ispre import run_ispre
 
         return run_ispre(
-            func, _require_profile(ctx, self.name), theta=self.theta,
-            validate=ctx.validate, cache=ctx.cache,
+            func, _require_profile(ctx, self.name), validate=ctx.validate,
+            cache=ctx.cache,
         )
 
 
 class LCMBaselinePass(Pass):
     name = "lcm"
+    is_pre = True
 
     def preserves(self) -> frozenset[str]:
         return _CFG_ONLY

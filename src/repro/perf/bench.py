@@ -22,7 +22,7 @@ from repro.core.solvers.mincut import MinCutSolver
 from repro.core.worklist import DEFAULT_ITERATIVE_ROUNDS
 from repro.flownet.maxflow import dinic_max_flow, edmonds_karp_max_flow
 from repro.flownet.network import FlowNetwork
-from repro.passes.compiler import compile as compile_func
+from repro.passes.compiler import PipelineConfig, compile as compile_func
 from repro.passes.stages import (
     ConstructSSAPass,
     DestructSSAPass,
@@ -152,7 +152,9 @@ def bench_compile(
         ).profile
 
         def compile_once():
-            return compile_func(prepared, "mc-ssapre", profile, solver=solver)
+            return compile_func(
+                prepared, PipelineConfig("mc-ssapre", solver=solver), profile
+            )
 
         elapsed, compiled = _best_of(repeat, compile_once)
         total_s += elapsed
@@ -528,8 +530,9 @@ def bench_iterative(names: tuple[str, ...], repeat: int) -> dict:
         iterative_s, iterative = _best_of(
             repeat,
             lambda: compile_func(
-                prepared, "mc-ssapre", profile,
-                rounds=DEFAULT_ITERATIVE_ROUNDS,
+                prepared,
+                PipelineConfig("mc-ssapre", rounds=DEFAULT_ITERATIVE_ROUNDS),
+                profile,
             ),
         )
         one_run = run_function(
@@ -686,7 +689,7 @@ def bench_solver_scaling(
         lospre_compile_s, lospre_compiled = _best_of(
             1,
             lambda: compile_func(
-                prepared, "mc-ssapre", profile, solver="lospre"
+                prepared, PipelineConfig("mc-ssapre", solver="lospre"), profile
             ),
         )
         graphs = [g for g in harvest.graphs if not g.is_empty()]

@@ -4,29 +4,25 @@ An artifact is optimal only *with respect to the profile it was compiled
 under* (the paper's whole premise), so the serving tier must notice when
 real traffic stops looking like that profile.  :class:`DriftDetector`
 scores the live node-frequency distribution against the baseline one
-with a bounded divergence — normalized L1 (total variation) or
-Jensen–Shannon — and fires once the score crosses ``threshold`` *and*
+with a bounded divergence — normalized L1 (total variation) — and
+fires once the score crosses ``threshold`` *and*
 enough runs have been folded to make the estimate trustworthy
 (``min_samples``; a two-run profile diverging from the baseline is
 noise, not drift).
 
-Both metrics live in ``[0, 1]``, compare *shapes* rather than masses
+The score lives in ``[0, 1]``, compares *shapes* rather than masses
 (each side is normalized first, so a uniformly-hotter workload with the
 same distribution scores 0.0 — identical placement decisions, nothing to
-recompile), and treat a missing side as score 0.0: no evidence is never
+recompile), and treats a missing side as score 0.0: no evidence is never
 evidence of drift.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.serve.adapt.live import normalized
-
-#: Recognised divergence metrics.
-DRIFT_METRICS = ("l1", "js")
 
 #: Default score threshold: a quarter of the probability mass has moved
 #: (L1) before a recompile is worth its cost.
@@ -36,13 +32,11 @@ DEFAULT_THRESHOLD = 0.25
 DEFAULT_MIN_SAMPLES = 16
 
 __all__ = [
-    "DRIFT_METRICS",
     "DEFAULT_THRESHOLD",
     "DEFAULT_MIN_SAMPLES",
     "DriftVerdict",
     "DriftDetector",
     "l1_distance",
-    "js_divergence",
 ]
 
 
@@ -54,29 +48,6 @@ def l1_distance(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """
     labels = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in labels)
-
-
-def js_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    """Jensen–Shannon divergence (base 2) between two distributions.
-
-    Symmetric, finite even on disjoint supports, and bounded in [0, 1];
-    the 0-contribution convention ``0·log(0) = 0`` applies.
-    """
-    labels = set(p) | set(q)
-    div = 0.0
-    for k in labels:
-        pk = p.get(k, 0.0)
-        qk = q.get(k, 0.0)
-        mk = 0.5 * (pk + qk)
-        if pk:
-            div += 0.5 * pk * math.log2(pk / mk)
-        if qk:
-            div += 0.5 * qk * math.log2(qk / mk)
-    # Clamp fp noise: disjoint supports compute to 1.0 + epsilon.
-    return min(1.0, max(0.0, div))
-
-
-_METRIC_FUNCS = {"l1": l1_distance, "js": js_divergence}
 
 
 @dataclass(frozen=True)
@@ -96,22 +67,15 @@ class DriftDetector:
 
     def __init__(
         self,
-        metric: str = "l1",
         threshold: float = DEFAULT_THRESHOLD,
         min_samples: int = DEFAULT_MIN_SAMPLES,
     ) -> None:
-        if metric not in _METRIC_FUNCS:
-            raise ValueError(
-                f"unknown drift metric {metric!r}; expected one of {DRIFT_METRICS}"
-            )
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
         if min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        self.metric = metric
         self.threshold = threshold
         self.min_samples = min_samples
-        self._score = _METRIC_FUNCS[metric]
 
     def score(
         self, baseline: Mapping[str, float], live: Mapping[str, float]
@@ -125,7 +89,7 @@ class DriftDetector:
         q = normalized(live)
         if not p or not q:
             return 0.0
-        return self._score(p, q)
+        return l1_distance(p, q)
 
     def check(
         self,

@@ -73,8 +73,6 @@ class AdaptConfig:
 
     #: Interpreter runs before a key is promoted to a compiled artifact.
     warmup: int = DEFAULT_WARMUP
-    #: Drift metric: "l1" (total variation) or "js" (Jensen–Shannon).
-    metric: str = "l1"
     #: Divergence score at which drift fires, in (0, 1].
     threshold: float = DEFAULT_THRESHOLD
     #: Minimum live samples folded since the last (re)compile before the
@@ -88,7 +86,6 @@ class AdaptConfig:
 
     def detector(self) -> DriftDetector:
         return DriftDetector(
-            metric=self.metric,
             threshold=self.threshold,
             min_samples=self.min_samples,
         )

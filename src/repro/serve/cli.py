@@ -38,11 +38,7 @@ import threading
 from pathlib import Path
 
 from repro.serve.adapt import AdaptConfig
-from repro.serve.adapt.drift import (
-    DEFAULT_MIN_SAMPLES,
-    DEFAULT_THRESHOLD,
-    DRIFT_METRICS,
-)
+from repro.serve.adapt.drift import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
 from repro.serve.adapt.tier import DEFAULT_WARMUP
 from repro.serve.loadgen import (
     DEFAULT_MAX_CONNS,
@@ -73,7 +69,6 @@ def _make_service(args: argparse.Namespace) -> CompileService:
     if getattr(args, "adapt", False):
         adapt = AdaptConfig(
             warmup=args.warmup,
-            metric=args.drift_metric,
             threshold=args.drift_threshold,
             min_samples=args.min_samples,
         )
@@ -597,10 +592,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
             "interpreter runs before a key is promoted to a compiled "
             f"artifact (default {DEFAULT_WARMUP}; needs --adapt)"
         ),
-    )
-    parser.add_argument(
-        "--drift-metric", choices=DRIFT_METRICS, default="l1",
-        help="drift divergence metric (default l1; needs --adapt)",
     )
     parser.add_argument(
         "--drift-threshold", type=float, default=DEFAULT_THRESHOLD,

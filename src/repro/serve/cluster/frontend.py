@@ -34,15 +34,19 @@ from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro.lang.parser import parse_function
-from repro.pipeline import PipelineConfig, prepare
+from repro.pipeline import prepare
 from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.serve.cluster.worker import WorkerHandle
 from repro.serve.keys import structural_key
 from repro.serve.metrics import merge_metrics_dicts
+from repro.serve.server import CompileRequest
 
 #: Per-worker plan-cache capacity (distinct request plans memoised by
 #: each worker; see CompileService).
 DEFAULT_PLAN_CACHE = 64
+
+#: Request fields that vary per input but never change the route.
+_INPUT_FIELDS = frozenset({"args", "train_args", "max_steps"})
 
 #: Longest JSON line accepted on any stream (sources are small).
 _LINE_LIMIT = 1 << 20
@@ -169,32 +173,29 @@ class ClusterFrontend:
     def _route_key(self, data) -> str:
         """The routing key: structural artifact key when computable.
 
-        Memoised per request plan (the plan-defining fields minus
-        profile inputs), so the parse/prepare cost is paid once per
-        distinct program, not per request.  Malformed requests hash
-        their raw plan instead — they still route deterministically,
-        and the owning worker produces the real error response.
+        The worker's own request parser (:meth:`CompileRequest.from_dict`)
+        builds the config, so the front end and the worker agree on
+        every field and default.  The key is computed from, and memoised
+        per, the request *plan* — the request minus its input vectors —
+        so the parse/prepare cost is paid once per distinct program, and
+        one program's requests route together whatever their inputs.  Malformed requests hash
+        their raw plan instead — they still route deterministically, and
+        the owning worker produces the real error response.
         """
         if not isinstance(data, dict):
             return "raw:" + hashlib.sha256(repr(data).encode()).hexdigest()
-        plan = [
-            data.get("source"), data.get("variant", "mc-ssapre"),
-            data.get("fold_constants", False), data.get("cleanup", False),
-            data.get("rounds", 1), data.get("solver", "mincut"),
-            data.get("engine", "compiled"),
-        ]
-        memo_key = json.dumps(plan, default=repr)
+        plan = {k: v for k, v in data.items() if k not in _INPUT_FIELDS}
+        memo_key = json.dumps(plan, sort_keys=True, default=repr)
         cached = self._route_memo.get(memo_key)
         if cached is not None:
             self._route_memo.move_to_end(memo_key)
             return cached
         try:
-            config = PipelineConfig(
-                variant=plan[1], fold_constants=bool(plan[2]),
-                cleanup=bool(plan[3]), rounds=int(plan[4]), solver=plan[5],
+            request = CompileRequest.from_dict(plan)
+            prepared = prepare(parse_function(request.source))
+            key = structural_key(
+                prepared, request.config(), engine=request.engine
             )
-            prepared = prepare(parse_function(plan[0]))
-            key = structural_key(prepared, config, engine=plan[6])
         except Exception:  # noqa: BLE001 - malformed request, route on content
             key = "raw:" + hashlib.sha256(memo_key.encode()).hexdigest()
         self._route_memo[memo_key] = key

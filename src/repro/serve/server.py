@@ -206,7 +206,7 @@ def build_artifact(
         dict(train_profile.node_freq) if train_profile is not None else None
     )
     try:
-        compiled = compile_variant(prepared, profile=train_profile, config=config)
+        compiled = compile_variant(prepared, config, train_profile)
     except Exception as exc:  # noqa: BLE001 - degrade, never fail the request
         return Artifact(
             key=key,
@@ -501,17 +501,18 @@ class CompileService:
         therefore cache plans per distinct (source, config, engine,
         train_args).
         """
-        plan_key = (
-            request.source,
-            request.variant,
-            request.fold_constants,
-            request.cleanup,
-            request.rounds,
-            request.solver,
-            request.engine,
-            request.train_args,
-        )
+        plan_key = None
         if self._plan_cache_size:
+            plan_key = (
+                request.source,
+                request.variant,
+                request.fold_constants,
+                request.cleanup,
+                request.rounds,
+                request.solver,
+                request.engine,
+                request.train_args,
+            )
             with self._plans_lock:
                 plan = self._plans.get(plan_key)
                 if plan is not None:
@@ -531,7 +532,7 @@ class CompileService:
             engine=request.engine,
             train_args=request.train_args,
         )
-        if self._plan_cache_size:
+        if plan_key is not None:
             with self._plans_lock:
                 self._plans[plan_key] = (prepared, config, key)
                 self._plans.move_to_end(plan_key)

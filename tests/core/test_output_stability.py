@@ -28,7 +28,7 @@ from repro.bench.generator import generate_program
 from repro.check.driver import SHAPES, case_inputs, spec_for_shape
 from repro.examples_data.running_example import build_running_example
 from repro.ir.printer import format_function
-from repro.passes.compiler import compile as compile_func
+from repro.passes.compiler import PipelineConfig, compile as compile_func
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
 
@@ -68,7 +68,9 @@ def printed_outputs(name: str) -> list[str]:
     return [
         format_function(
             compile_func(
-                prepared, variant, profile, rounds=rounds, solver=solver
+                prepared,
+                PipelineConfig(variant, rounds=rounds, solver=solver),
+                profile,
             ).func
         )
         for variant, solver, rounds in CONFIGS

@@ -23,7 +23,7 @@ from repro.core.solvers.shape import (
     select_solver,
 )
 from repro.ir.builder import FunctionBuilder
-from repro.passes.compiler import compile as compile_func
+from repro.passes.compiler import PipelineConfig, compile as compile_func
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
 from tests.conftest import (
@@ -182,10 +182,12 @@ class TestAutoNeverChangesCode:
         train = run_function(copy.deepcopy(prepared), args)
 
         forced = compile_func(
-            prepared, "mc-ssapre", train.profile, solver="mincut"
+            prepared, PipelineConfig("mc-ssapre", solver="mincut"),
+            train.profile,
         )
         auto = compile_func(
-            prepared, "mc-ssapre", train.profile, solver="auto"
+            prepared, PipelineConfig("mc-ssapre", solver="auto"),
+            train.profile,
         )
         assert str(auto.func) == str(forced.func)
         ref_forced = run_function(copy.deepcopy(forced.func), args)

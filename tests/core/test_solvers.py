@@ -22,7 +22,7 @@ from repro.core.solvers.base import (
 )
 from repro.core.solvers.lospre import DEFAULT_MAX_WIDTH, LospreSolver
 from repro.core.solvers.mincut import MinCutSolver
-from repro.passes.compiler import compile as compile_func
+from repro.passes.compiler import PipelineConfig, compile as compile_func
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
 from tests.conftest import as_ssa
@@ -35,7 +35,9 @@ def _fuzz_program(seed):
 
 
 def _compile_with(prepared, profile, solver):
-    compiled = compile_func(prepared, "mc-ssapre", profile, solver=solver)
+    compiled = compile_func(
+        prepared, PipelineConfig("mc-ssapre", solver=solver), profile
+    )
     return compiled
 
 

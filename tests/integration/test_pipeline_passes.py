@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generator import ProgramSpec, generate_program, random_args
-from repro.pipeline import compile_variant, prepare
+from repro.pipeline import PipelineConfig, compile_variant, prepare
 from repro.profiles.interp import run_function
 
 
@@ -18,11 +18,9 @@ def test_passes_preserve_semantics(seed, fold, cleanup):
     train = run_function(prepared, args)
     compiled = compile_variant(
         prepared,
-        "mc-ssapre",
+        PipelineConfig("mc-ssapre", fold_constants=fold, cleanup=cleanup),
         profile=train.profile,
         validate=True,
-        fold_constants=fold,
-        cleanup=cleanup,
     )
     after = run_function(compiled.func, args)
     assert after.observable() == train.observable()
@@ -40,10 +38,8 @@ def test_full_pipeline_never_slower(seed):
     plain = compile_variant(prepared, "mc-ssapre", profile=train.profile)
     tuned = compile_variant(
         prepared,
-        "mc-ssapre",
+        PipelineConfig("mc-ssapre", fold_constants=True, cleanup=True),
         profile=train.profile,
-        fold_constants=True,
-        cleanup=True,
     )
     plain_cost = run_function(plain.func, args).dynamic_cost
     tuned_cost = run_function(tuned.func, args).dynamic_cost
@@ -66,6 +62,6 @@ def test_cleanup_removes_copies(while_loop):
 
     plain = compile_variant(prepared, "mc-ssapre", profile=train.profile)
     cleaned = compile_variant(
-        prepared, "mc-ssapre", profile=train.profile, cleanup=True
+        prepared, PipelineConfig("mc-ssapre", cleanup=True), train.profile
     )
     assert copy_count(cleaned.func) <= copy_count(plain.func)

@@ -46,6 +46,7 @@ from repro.ir.values import Const, Operand, Var
 from repro.lang.lexer import LexError, Token
 from repro.lang.parser import ParseError, parse_function, parse_program
 from repro.passes.compiler import compile as compile_pipeline
+from repro.passes.stages import ConstructSSAPass, SSAPREPass
 from repro.pipeline import prepare
 
 _KEYWORDS = {"func", "phi", "output", "jump", "br", "ret", "load", "store", "arrays"}
@@ -341,7 +342,8 @@ def test_fuzz_shapes_match_reference(shape):
         func = generate_program(spec_for_shape(shape, seed)).func
         assert _assert_matches_reference(format_function(func))
         compiled = compile_pipeline(
-            prepare(func), "ssapre", pipeline_spec=["construct-ssa", "ssapre"]
+            prepare(func), "ssapre",
+            pipeline_spec=[ConstructSSAPass(), SSAPREPass()],
         ).func
         assert _assert_matches_reference(format_function(compiled))
 

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.passes import VARIANTS, CompiledFunction, build_pipeline, compile
-from repro.passes.base import PassError
-from repro.passes.stages import GVNPass
+from repro.passes import VARIANTS, CompiledFunction, PipelineConfig, compile
+from repro.passes.stages import (
+    ConstructSSAPass,
+    DCEPass,
+    DestructSSAPass,
+    GVNPass,
+    SSAPREPass,
+)
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
 from tests.conftest import small_generated
@@ -65,7 +70,8 @@ def test_iterative_rounds_never_recompute_cfg_analyses():
     however many rounds the worklist engine runs, every CFG-derived
     analysis is computed at most once per function per compile."""
     prepared, train, _ = _prepared()
-    report = compile(prepared, "mc-ssapre", train.profile, rounds=4).report
+    config = PipelineConfig("mc-ssapre", rounds=4)
+    report = compile(prepared, config, train.profile).report
     assert report.execution("mc-ssapre-iter").payload.rounds_run >= 1
     for analysis in ("cfg", "domtree", "domfrontier"):
         _, misses = report.cache_counters[analysis]
@@ -74,7 +80,8 @@ def test_iterative_rounds_never_recompute_cfg_analyses():
 
 def test_iterative_rounds_appear_in_report_dict():
     prepared, train, _ = _prepared()
-    report = compile(prepared, "mc-ssapre", train.profile, rounds=4).report
+    config = PipelineConfig("mc-ssapre", rounds=4)
+    report = compile(prepared, config, train.profile).report
     entry = next(
         p for p in report.to_dict()["passes"]
         if p["pass"] == "mc-ssapre-iter"
@@ -125,7 +132,8 @@ def test_pipeline_spec_override_runs_custom_stages():
         "ssapre",
         train.profile,
         pipeline_spec=[
-            "construct-ssa", GVNPass(), "ssapre", "dce", "destruct-ssa",
+            ConstructSSAPass(), GVNPass(), SSAPREPass(), DCEPass(),
+            DestructSSAPass(),
         ],
     )
     names = [ex.name for ex in compiled.report.executions]
@@ -134,26 +142,38 @@ def test_pipeline_spec_override_runs_custom_stages():
     assert compiled.pre_result is not None
 
 
-def test_unknown_stage_name_raises():
-    prepared, _, _ = _prepared()
-    with pytest.raises(PassError, match="unknown pipeline stage"):
-        compile(prepared, "ssapre", pipeline_spec=["construct-ssa", "pre"])
+def _stage_names(config):
+    return [p.name for p in config.stages()]
 
 
-def test_build_pipeline_shapes():
-    assert build_pipeline("none") == []
-    assert [p.name for p in build_pipeline("lcm")] == ["lcm"]
-    assert [p.name for p in build_pipeline("ssapre")] == [
+def test_config_stages_shapes():
+    assert _stage_names(PipelineConfig("none")) == []
+    assert _stage_names(PipelineConfig("lcm")) == ["lcm"]
+    assert _stage_names(PipelineConfig("ssapre")) == [
         "construct-ssa", "ssapre", "destruct-ssa",
     ]
-    assert [p.name for p in build_pipeline(
-        "mc-ssapre", fold_constants=True, cleanup=True
-    )] == [
+    assert _stage_names(
+        PipelineConfig("mc-ssapre", fold_constants=True, cleanup=True)
+    ) == [
         "construct-ssa", "sccp", "mc-ssapre", "copyprop", "dce",
         "destruct-ssa",
     ]
+    assert _stage_names(PipelineConfig("ssapre-sp", rounds=4)) == [
+        "construct-ssa", "ssapre-sp-iter", "destruct-ssa",
+    ]
     with pytest.raises(ValueError):
-        build_pipeline("nope")
+        PipelineConfig("nope")
+
+
+def test_pre_result_is_the_pre_stage_payload():
+    prepared, train, _ = _prepared()
+    for variant in VARIANTS:
+        compiled = compile(prepared, variant, train.profile)
+        pre = [
+            ex.payload for ex in compiled.report.executions
+            if ex.name.startswith(variant)
+        ]
+        assert compiled.pre_result is (pre[-1] if pre else None), variant
 
 
 def test_verify_each_end_to_end():

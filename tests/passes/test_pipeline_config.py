@@ -27,6 +27,16 @@ class TestValidation:
         # The default solver is fine on any variant.
         assert PipelineConfig(variant="ssapre").solver == "mincut"
 
+    def test_cfg_baselines_reject_rounds(self):
+        for variant in ("mc-pre", "ispre", "lcm"):
+            with pytest.raises(ValueError, match="one-shot CFG baseline"):
+                PipelineConfig(variant=variant, rounds=2)
+        assert PipelineConfig(variant="lcm").stages()[0].name == "lcm"
+
+    def test_rejects_nonpositive_rounds(self):
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            PipelineConfig(variant="ssapre", rounds=0)
+
     def test_stages_carry_the_solver(self):
         config = PipelineConfig(variant="mc-ssapre", solver="lospre")
         pre = [s for s in config.stages() if s.name == "mc-ssapre"][0]

@@ -8,7 +8,7 @@ import pytest
 from repro.pipeline import PipelineConfig, prepare
 from repro.profiles.interp import run_function
 from repro.serve.adapt import AdaptConfig, DriftDetector, LiveProfile, TierPolicy
-from repro.serve.adapt.drift import js_divergence, l1_distance
+from repro.serve.adapt.drift import l1_distance
 from repro.serve.adapt.tier import TIER_COMPILED, TIER_INTERP
 from repro.serve.keys import artifact_key, structural_key
 from repro.serve.server import CompileRequest, CompileService, build_artifact
@@ -26,7 +26,7 @@ def _wait_until(predicate, timeout=10.0):
 
 
 def _adaptive_service(**overrides) -> CompileService:
-    cfg = dict(warmup=2, metric="l1", threshold=0.2, min_samples=3)
+    cfg = dict(warmup=2, threshold=0.2, min_samples=3)
     cfg.update(overrides)
     return CompileService(adapt=AdaptConfig(**cfg))
 
@@ -90,12 +90,8 @@ class TestDriftDetector:
     def test_metric_bounds_on_disjoint_support(self):
         p, q = {"a": 1.0}, {"b": 1.0}
         assert l1_distance(p, q) == 1.0
-        assert js_divergence(p, q) == 1.0
-        assert js_divergence(p, p) == 0.0
 
     def test_invalid_parameters_are_rejected(self):
-        with pytest.raises(ValueError):
-            DriftDetector(metric="kl")
         with pytest.raises(ValueError):
             DriftDetector(threshold=0.0)
         with pytest.raises(ValueError):
