@@ -62,7 +62,8 @@ class PipelineConfig:
     destruction; ``fold_constants`` slots SCCP before PRE and ``cleanup``
     slots copy propagation + DCE after it (both SSA-variant only).
     ``rounds > 1`` selects the iterative worklist form of the SSA-based
-    PRE stage; the CFG baselines are one-shot and reject it.
+    PRE stage; the CFG baselines are one-shot and reject it, as they
+    reject ``fold_constants`` and ``cleanup``.
     """
 
     variant: str = "mc-ssapre"
@@ -87,10 +88,15 @@ class PipelineConfig:
             )
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.rounds > 1 and self.variant in _CFG_BASELINES:
+        # The baselines' one stage ignores these knobs: accepting them
+        # would file the same code under a second cache key.
+        if self.variant in _CFG_BASELINES and (
+            self.rounds > 1 or self.fold_constants or self.cleanup
+        ):
             raise ValueError(
                 f"variant {self.variant!r} is a one-shot CFG baseline; "
-                "iterative rounds apply only to the SSA-based variants"
+                "rounds > 1, fold_constants and cleanup apply only to the "
+                "SSA-based variants"
             )
         if self.solver not in SOLVER_NAMES:
             raise ValueError(

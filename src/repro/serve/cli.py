@@ -78,7 +78,6 @@ def _make_service(args: argparse.Namespace) -> CompileService:
         timeout_s=args.timeout,
         adapt=adapt,
         lock_dir=getattr(args, "lock_dir", None),
-        plan_cache=getattr(args, "plan_cache", 0),
     )
 
 
@@ -203,7 +202,6 @@ class _ClusterMetricsProxy:
 
 def _start_cluster(args: argparse.Namespace, n_workers: int):
     from repro.serve.cluster import Cluster
-    from repro.serve.cluster.frontend import DEFAULT_PLAN_CACHE
 
     cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-cluster-cache-")
     lock_dir = args.lock_dir or tempfile.mkdtemp(prefix="repro-cluster-locks-")
@@ -213,7 +211,6 @@ def _start_cluster(args: argparse.Namespace, n_workers: int):
         lock_dir=lock_dir,
         host=getattr(args, "host", "127.0.0.1"),
         port=getattr(args, "port", None) or 0,
-        plan_cache=args.plan_cache or DEFAULT_PLAN_CACHE,
         worker_threads=args.workers,
     ).start()
 
@@ -555,13 +552,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help=(
             "enable cross-process single-flight: per-key flock build "
             "locks under DIR (share it, and --cache-dir, across workers)"
-        ),
-    )
-    parser.add_argument(
-        "--plan-cache", type=int, default=0, metavar="N",
-        help=(
-            "memoise up to N request plans (parsed/prepared/keyed "
-            "programs) per service; 0 disables (default)"
         ),
     )
     parser.add_argument(

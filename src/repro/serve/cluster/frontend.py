@@ -8,8 +8,8 @@ unparseable request falls back to a raw content hash so the owning
 worker can produce the error response), routes it on the consistent
 hash ring, and forwards the line over a pooled connection to the owning
 worker.  Structural routing concentrates all of one program's traffic —
-every profile variant included — on one worker, which is what makes the
-per-worker plan cache and the shared disk tier's write pattern behave.
+every profile variant included — on one worker, which keeps each
+worker's plan cache hot and the shared disk tier's write pattern tame.
 
 Supervision: a background task probes each worker (process liveness
 plus the in-band ``{"cmd": "ping"}``) and restarts crashed or wedged
@@ -41,10 +41,6 @@ from repro.serve.keys import structural_key
 from repro.serve.metrics import merge_metrics_dicts
 from repro.serve.server import CompileRequest
 
-#: Per-worker plan-cache capacity (distinct request plans memoised by
-#: each worker; see CompileService).
-DEFAULT_PLAN_CACHE = 64
-
 #: Request fields that vary per input but never change the route.
 _INPUT_FIELDS = frozenset({"args", "train_args", "max_steps"})
 
@@ -52,7 +48,6 @@ _INPUT_FIELDS = frozenset({"args", "train_args", "max_steps"})
 _LINE_LIMIT = 1 << 20
 
 __all__ = [
-    "DEFAULT_PLAN_CACHE",
     "Cluster",
     "ClusterFrontend",
     "race_cold_key",
@@ -327,7 +322,6 @@ class Cluster:
         lock_dir: str,
         host: str = "127.0.0.1",
         port: int = 0,
-        plan_cache: int = DEFAULT_PLAN_CACHE,
         worker_threads: int = 2,
         vnodes: int = DEFAULT_VNODES,
         health_every: float = 0.5,
@@ -342,7 +336,6 @@ class Cluster:
                 f"w{i}",
                 cache_dir=cache_dir,
                 lock_dir=lock_dir,
-                plan_cache=plan_cache,
                 threads=worker_threads,
                 host=host,
             )

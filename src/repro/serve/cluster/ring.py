@@ -2,8 +2,8 @@
 
 The front end routes every request to the worker that *owns* its
 structural artifact key, so each program's traffic concentrates on one
-worker — which is what makes a bounded per-worker plan cache coherent
-and the shared disk tier's write pattern mostly contention-free.
+worker — which keeps each worker's bounded plan cache hot and the
+shared disk tier's write pattern mostly contention-free.
 
 Ownership must be stable under membership changes: when a worker
 crashes and is replaced, or the pool is resized, only the keys that

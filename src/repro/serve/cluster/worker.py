@@ -1,12 +1,12 @@
 """Worker subprocess lifecycle: spawn, probe, restart.
 
 A cluster worker is just ``python -m repro.serve serve --port 0`` with
-the shared ``--cache-dir``/``--lock-dir`` and the plan cache enabled —
-the same JSON-lines TCP server operators already run by hand, so a
-worker is individually debuggable with ``nc``.  The handle here owns
-the subprocess: it parses the ``serving on host:port`` banner to learn
-the ephemeral port, keeps draining stderr (so a chatty worker can never
-fill the pipe and wedge), answers liveness probes via the in-band
+the shared ``--cache-dir``/``--lock-dir`` — the same JSON-lines TCP
+server operators already run by hand, so a worker is individually
+debuggable with ``nc``.  The handle here owns the subprocess: it
+parses the ``serving on host:port`` banner to learn the ephemeral port,
+keeps draining stderr (so a chatty worker can never fill the pipe and
+wedge), answers liveness probes via the in-band
 ``{"cmd": "ping"}`` protocol message, and restarts the process in place
 after a crash.  A restarted worker keeps its ``worker_id``, so its ring
 position — and therefore key ownership — is unchanged; it simply comes
@@ -57,7 +57,6 @@ class WorkerHandle:
         *,
         cache_dir: str,
         lock_dir: str,
-        plan_cache: int = 64,
         threads: int = 2,
         max_entries: int = 256,
         host: str = "127.0.0.1",
@@ -68,7 +67,6 @@ class WorkerHandle:
         self.port: Optional[int] = None
         self.cache_dir = cache_dir
         self.lock_dir = lock_dir
-        self.plan_cache = plan_cache
         self.threads = threads
         self.max_entries = max_entries
         self.spawn_timeout_s = spawn_timeout_s
@@ -84,7 +82,6 @@ class WorkerHandle:
             "--port", "0", "--host", self.host,
             "--cache-dir", self.cache_dir,
             "--lock-dir", self.lock_dir,
-            "--plan-cache", str(self.plan_cache),
             "--workers", str(self.threads),
             "--max-entries", str(self.max_entries),
         ]

@@ -40,6 +40,7 @@ COUNTERS = (
     "hits_memory",       # artifact served from the in-memory LRU
     "hits_disk",         # artifact served from the on-disk store
     "misses",            # artifact had to be built
+    "plan_hits",         # parse/prepare/key taken from the plan cache
     "coalesced",         # request waited on another request's compile
     "compiles",          # artifact builds that ran a real compile
     "compile_failures",  # compiles that raised (artifact degraded)
@@ -58,7 +59,6 @@ COUNTERS = (
     "tier_demotions",    # compiled-artifact -> interpreter demotions
     "rollbacks",         # hot swaps undone to the previous artifact
     # -- cluster tier (repro.serve.cluster) ----------------------------
-    "plan_hits",         # requests answered from the per-worker plan cache
     "lock_rehydrates",   # cross-process race losers served from disk
     "lock_breaks",       # stale cross-process build locks broken
 )

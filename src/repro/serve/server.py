@@ -59,14 +59,33 @@ DEFAULT_TIMEOUT_S = 30.0
 
 DEFAULT_MAX_STEPS = 2_000_000
 
+#: Distinct request plans (parsed, prepared and keyed programs) one
+#: service memoises.  A plan is a prepared function of a few hundred
+#: statements, so the bound keeps the cache to a few megabytes.
+PLAN_CACHE_SIZE = 64
+
 __all__ = [
     "DEFAULT_TIMEOUT_S",
+    "PLAN_CACHE_SIZE",
     "CompileRequest",
     "ServeResponse",
     "CompileService",
     "build_artifact",
     "execute_artifact",
 ]
+
+
+#: The JSON type of each scalar request field (the wire format).
+_WIRE_TYPES = {
+    "source": str,
+    "variant": str,
+    "engine": str,
+    "fold_constants": bool,
+    "cleanup": bool,
+    "rounds": int,
+    "solver": str,
+    "max_steps": int,
+}
 
 
 @dataclass(frozen=True)
@@ -108,9 +127,22 @@ class CompileRequest:
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
         kwargs = dict(data)
-        kwargs["args"] = tuple(kwargs.get("args", ()))
-        if kwargs.get("train_args") is not None:
-            kwargs["train_args"] = tuple(kwargs["train_args"])
+        # Exact types: JSON ``true`` is a bool, never an int, and ``2.0``
+        # is a float, so neither can alias a valid value's cache key.
+        for name, value in kwargs.items():
+            if name in ("args", "train_args"):
+                if value is None and name == "train_args":
+                    continue
+                if not isinstance(value, (list, tuple)) or any(
+                    type(item) is not int for item in value
+                ):
+                    raise ValueError(f"{name!r} must be a list of integers")
+                kwargs[name] = tuple(value)
+            elif type(value) is not _WIRE_TYPES[name]:
+                raise ValueError(
+                    f"{name!r} must be {_WIRE_TYPES[name].__name__}, "
+                    f"got {type(value).__name__}"
+                )
         return cls(**kwargs)
 
 
@@ -272,7 +304,6 @@ class CompileService:
         build: Callable[..., Artifact] | None = None,
         adapt: "AdaptConfig | None" = None,
         lock_dir: str | None = None,
-        plan_cache: int = 0,
     ) -> None:
         self.store = store or ArtifactStore()
         self.metrics = metrics or ServeMetrics()
@@ -300,15 +331,11 @@ class CompileService:
                 lock_dir,
                 on_break=lambda _path: self.metrics.inc("lock_breaks"),
             )
-        #: Bounded plan cache: memoises (source, config, engine,
-        #: train_args) -> (prepared function, resolved config, artifact
-        #: key), skipping parse/prepare/key on repeat requests.  Safe
+        #: Bounded plan cache: (source, config, engine, train_args) ->
+        #: (prepared function, resolved config, key), LRU-evicted past
+        #: :data:`PLAN_CACHE_SIZE`.  Safe to share across requests
         #: because the pipeline never mutates its input function
-        #: (repro.pipeline docstring).  0 (the default) disables it so
-        #: the single-process latency pins keep measuring the full
-        #: request path; cluster workers turn it on, where hash routing
-        #: concentrates each program's traffic on its owning worker.
-        self._plan_cache_size = plan_cache
+        #: (repro.pipeline docstring).
         self._plans: OrderedDict[tuple, tuple] = OrderedDict()
         self._plans_lock = threading.Lock()
         #: The online re-optimisation tier (docs/SERVING.md "Adaptation").
@@ -352,12 +379,9 @@ class CompileService:
 
     # ------------------------------------------------------------------
     def _handle(self, request: CompileRequest, t_start: float) -> ServeResponse:
-        if self.adapt is not None:
-            config = request.config()  # validates variant/rounds/solver
-            prepared = prepare(parse_function(request.source))
-            config = config.resolved(prepared)
-            return self._handle_adaptive(request, prepared, config)
         prepared, config, key = self._plan(request)
+        if self.adapt is not None:
+            return self._handle_adaptive(request, prepared, config, key)
         deadline = t_start + self.timeout_s
 
         artifact, tier = self.store.get(key)
@@ -415,19 +439,19 @@ class CompileService:
         request: CompileRequest,
         prepared: Function,
         config: PipelineConfig,
+        skey: str,
     ) -> ServeResponse:
         """Serve one request through the tiered adaptation loop.
 
-        Identity is the *structural* key (profile excluded): all traffic
-        for one (program, config, engine) shares a live profile and one
-        hot-swappable artifact binding.  An unbound key serves on the
-        reference interpreter over the prepared function (tier 0,
+        Identity is the *structural* key *skey* (profile excluded): all
+        traffic for one (program, config, engine) shares a live profile
+        and one hot-swappable artifact binding.  An unbound key serves on
+        the reference interpreter over the prepared function (tier 0,
         profiling for free); a bound key serves the pinned artifact.
         The binding read is a single reference load of an immutable
         object, so a request racing a hot swap sees the old artifact or
         the new one — never a mixture — and never blocks on the swap.
         """
-        skey = structural_key(prepared, config, engine=request.engine)
         state = self.adapt.state_for(
             skey, prepared, config, request.engine, request.max_steps
         )
@@ -488,57 +512,50 @@ class CompileService:
 
     # ------------------------------------------------------------------
     def _plan(self, request: CompileRequest) -> tuple[Function, PipelineConfig, str]:
-        """Parse, prepare and key one request — memoised when the plan
-        cache is on.
+        """Parse, prepare and key one request, memoised per plan.
 
         The plan is everything about a request that does not depend on
         its input vector: the prepared function, the solver-resolved
-        config and the artifact key.  On a warm service they are about
-        half of a request: in a traced perfbench serve-warm run (five
-        CFP programs, every key in memory, seed 0) parse took 15%,
-        prepare 25% and the artifact key 8% of the traced time, against
-        48% for executing the chord-counted artifact.  Cluster workers
-        therefore cache plans per distinct (source, config, engine,
-        train_args).
+        config and the key — the artifact key, or the structural key
+        when the adaptation tier is on.  On a warm service the plan is
+        about half of an uncached request: in a traced perfbench
+        serve-warm pass (five CFP programs, every key in memory, seed 0)
+        parse took 0.020 s, prepare 0.033 s and the artifact key
+        0.011 s, against 0.063 s for executing the artifacts.  Plans are
+        cached by ``(source, config, engine, train_args)``; the config
+        is the frozen :class:`PipelineConfig` itself, so every field of
+        it is plan identity by construction.
         """
-        plan_key = None
-        if self._plan_cache_size:
-            plan_key = (
-                request.source,
-                request.variant,
-                request.fold_constants,
-                request.cleanup,
-                request.rounds,
-                request.solver,
-                request.engine,
-                request.train_args,
-            )
-            with self._plans_lock:
-                plan = self._plans.get(plan_key)
-                if plan is not None:
-                    self._plans.move_to_end(plan_key)
-            if plan is not None:
-                self.metrics.inc("plan_hits")
-                return plan
         config = request.config()  # validates variant/rounds/solver
+        plan_key = (request.source, config, request.engine, request.train_args)
+        with self._plans_lock:
+            plan = self._plans.get(plan_key)
+            if plan is not None:
+                self._plans.move_to_end(plan_key)
+        if plan is not None:
+            self.metrics.inc("plan_hits")
+            return plan
         prepared = prepare(parse_function(request.source))
         # Resolve solver="auto" against the prepared function once: the
         # key, the build and the artifact's report all see the concrete
         # solver the classifier picked.
         config = config.resolved(prepared)
-        key = artifact_key(
-            prepared,
-            config,
-            engine=request.engine,
-            train_args=request.train_args,
-        )
-        if plan_key is not None:
-            with self._plans_lock:
-                self._plans[plan_key] = (prepared, config, key)
-                self._plans.move_to_end(plan_key)
-                while len(self._plans) > self._plan_cache_size:
-                    self._plans.popitem(last=False)
-        return prepared, config, key
+        if self.adapt is not None:
+            key = structural_key(prepared, config, engine=request.engine)
+        else:
+            key = artifact_key(
+                prepared,
+                config,
+                engine=request.engine,
+                train_args=request.train_args,
+            )
+        plan = (prepared, config, key)
+        with self._plans_lock:
+            self._plans[plan_key] = plan
+            self._plans.move_to_end(plan_key)
+            while len(self._plans) > PLAN_CACHE_SIZE:
+                self._plans.popitem(last=False)
+        return plan
 
     # ------------------------------------------------------------------
     def _build_single_flight(

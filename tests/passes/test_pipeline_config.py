@@ -33,6 +33,18 @@ class TestValidation:
                 PipelineConfig(variant=variant, rounds=2)
         assert PipelineConfig(variant="lcm").stages()[0].name == "lcm"
 
+    def test_cfg_baselines_reject_fold_and_cleanup(self):
+        # The baselines' one stage ignores both knobs, so accepting them
+        # would file the same code under a second canonical key.
+        for variant in ("mc-pre", "ispre", "lcm"):
+            for knob in ("fold_constants", "cleanup"):
+                with pytest.raises(ValueError, match="one-shot CFG baseline"):
+                    PipelineConfig(variant=variant, **{knob: True})
+        config = PipelineConfig(variant="ssapre", fold_constants=True, cleanup=True)
+        assert [s.name for s in config.stages()] == [
+            "construct-ssa", "sccp", "ssapre", "copyprop", "dce", "destruct-ssa",
+        ]
+
     def test_rejects_nonpositive_rounds(self):
         with pytest.raises(ValueError, match="rounds must be >= 1"):
             PipelineConfig(variant="ssapre", rounds=0)

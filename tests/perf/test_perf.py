@@ -73,7 +73,7 @@ SERVING_KEYS = {
     "adaptation", "cluster", "ok",
 }
 CLUSTER_KEYS = {
-    "workers", "requests", "unique", "single_rps", "offered_rps",
+    "workers", "cores", "requests", "unique", "single_rps", "offered_rps",
     "achieved_rps", "rps_ratio", "min_rps_ratio", "p99_s", "p99_max_s",
     "mean_s", "max_in_flight", "mismatches", "errors", "timeouts",
     "compiles", "plan_hits", "lock_rehydrates", "race", "ok",
@@ -264,6 +264,7 @@ class TestCli:
         assert set(cluster) == CLUSTER_KEYS
         assert cluster["ok"] is True
         assert cluster["workers"] >= 2
+        assert cluster["cores"] >= 1
         assert cluster["rps_ratio"] >= cluster["min_rps_ratio"]
         assert cluster["p99_s"] <= cluster["p99_max_s"]
         assert cluster["mismatches"] == 0

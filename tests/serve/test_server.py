@@ -7,9 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.serve.server as server_module
+from repro.ir.printer import format_function
+from repro.lang.parser import parse_function
 from repro.pipeline import prepare
 from repro.profiles.interp import run_function
+from repro.serve.adapt.manager import AdaptConfig
+from repro.serve.keys import structural_key
 from repro.serve.server import (
+    PLAN_CACHE_SIZE,
     CompileRequest,
     CompileService,
     build_artifact,
@@ -289,23 +294,48 @@ class TestRequestParsing:
         with pytest.raises(ValueError, match="missing 'source'"):
             CompileRequest.from_dict({"args": [1]})
 
+    @pytest.mark.parametrize("field, value", [
+        ("fold_constants", "yes"),
+        ("fold_constants", 1),
+        ("cleanup", "yes"),
+        ("cleanup", 0),
+        ("rounds", 2.0),
+        ("rounds", True),
+        ("rounds", "2"),
+        ("max_steps", 1e6),
+        ("max_steps", False),
+        ("variant", 3),
+        ("args", [1, 2.5]),
+        ("args", [1, True]),
+        ("args", 5),
+        ("args", "123"),
+        ("train_args", ["4"]),
+        ("train_args", [4.0, 5, 6]),
+    ])
+    def test_from_dict_rejects_wrong_types(self, diamond_source, field, value):
+        # A wrong-typed value must fail at the wire, naming its field,
+        # not build equal code under a second key or fail late.
+        with pytest.raises(ValueError, match=repr(field)):
+            CompileRequest.from_dict({"source": diamond_source, field: value})
+
+    def test_from_dict_accepts_well_typed_values(self, diamond_source):
+        request = CompileRequest.from_dict({
+            "source": diamond_source, "args": [], "variant": "ssapre",
+            "train_args": None, "fold_constants": True, "cleanup": False,
+            "rounds": 2, "max_steps": 1000, "engine": "reference",
+            "solver": "mincut",
+        })
+        assert request.config().rounds == 2
+        assert request.args == () and request.train_args is None
+
 
 class TestPlanCache:
-    """The bounded plan cache (cluster workers): memoised
-    parse/prepare/key, off by default, LRU-bounded when on."""
+    """The one plan path: every service memoises parse/prepare/key per
+    (source, config, engine, train_args), LRU-bounded at
+    :data:`PLAN_CACHE_SIZE`."""
 
-    def test_disabled_by_default(self, diamond_source):
+    def test_repeat_requests_hit_cached_plans(self, diamond_source):
         with CompileService() as service:
-            request = CompileRequest(
-                source=diamond_source, args=(4, 5, 1), variant="ssapre"
-            )
-            service.handle(request)
-            service.handle(request)
-        assert service.metrics.get("plan_hits") == 0
-        assert len(service._plans) == 0
-
-    def test_repeat_requests_hit_the_plan_cache(self, diamond_source):
-        with CompileService(plan_cache=8) as service:
             request = CompileRequest(
                 source=diamond_source, args=(4, 5, 1), variant="ssapre"
             )
@@ -320,7 +350,7 @@ class TestPlanCache:
         assert cold.dynamic_cost == warm.dynamic_cost
 
     def test_distinct_configs_get_distinct_plans(self, diamond_source):
-        with CompileService(plan_cache=8) as service:
+        with CompileService() as service:
             a = service.handle(CompileRequest(
                 source=diamond_source, args=(4, 5, 1), variant="ssapre"
             ))
@@ -333,24 +363,29 @@ class TestPlanCache:
         assert service.metrics.get("plan_hits") == 0
         assert len(service._plans) == 2
 
-    def test_lru_bound_holds(self, diamond_source, loop_source):
-        with CompileService(plan_cache=1) as service:
-            r1 = CompileRequest(
-                source=diamond_source, args=(4, 5, 1), variant="ssapre"
+    def test_lru_bound_holds(self, diamond_source):
+        # Distinct training inputs make distinct plans (and keys) of one
+        # cheap, unprofiled program.
+        def request(i):
+            return CompileRequest(
+                source=diamond_source, args=(4, 5, 1), variant="none",
+                train_args=(i,),
             )
-            r2 = CompileRequest(
-                source=loop_source, args=(2, 3, 5), variant="ssapre"
-            )
-            for request in (r1, r2, r1, r2):
-                assert service.handle(request).status == "ok"
-            assert len(service._plans) == 1
-        # Alternating two programs through a one-entry cache: every
-        # lookup after the first for each program evicts the other, so
-        # nothing ever hits.
-        assert service.metrics.get("plan_hits") == 0
+
+        with CompileService() as service:
+            for i in range(PLAN_CACHE_SIZE + 1):
+                assert service.handle(request(i)).status == "ok"
+            assert len(service._plans) == PLAN_CACHE_SIZE
+            assert service.metrics.get("plan_hits") == 0
+            # The newest plan stays; the oldest was evicted.
+            service.handle(request(PLAN_CACHE_SIZE))
+            assert service.metrics.get("plan_hits") == 1
+            service.handle(request(0))
+            assert service.metrics.get("plan_hits") == 1
+            assert len(service._plans) == PLAN_CACHE_SIZE
 
     def test_plan_hit_serves_from_memory_tier(self, diamond_source):
-        with CompileService(plan_cache=8) as service:
+        with CompileService() as service:
             request = CompileRequest(
                 source=diamond_source, args=(4, 5, 1), variant="ssapre"
             )
@@ -358,3 +393,93 @@ class TestPlanCache:
             second = service.handle(request)
         assert first.served_by == "compile"
         assert second.served_by == "memory"
+
+    def test_shared_prepared_function_is_never_mutated(self, loop_source):
+        # A one-entry artifact LRU and two alternating plans of one
+        # source: every request misses the store and compiles afresh from
+        # its plan's cached prepared function.
+        requests = [
+            CompileRequest(
+                source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
+                train_args=(2, 3, 7),
+            ),
+            CompileRequest(
+                source=loop_source, args=(2, 3, 5), variant="ssapre",
+                fold_constants=True, cleanup=True,
+            ),
+        ]
+        expected = format_function(prepare(parse_function(loop_source)))
+        with CompileService() as service:
+            service.store.memory.max_entries = 1
+            answers = [service.handle(requests[i % 2]) for i in range(100)]
+            plans = [prepared for prepared, _config, _key in service._plans.values()]
+        assert service.metrics.get("compiles") == 100
+        assert service.metrics.get("plan_hits") == 98
+        assert len(plans) == 2
+        for prepared in plans:
+            assert format_function(prepared) == expected
+        for i, answer in enumerate(answers):
+            assert answer.status == "ok"
+            assert _answer(answer) == _answer(answers[i % 2])
+
+    def test_concurrent_configs_match_fresh_services(self, loop_source):
+        configs = [
+            {"variant": "mc-ssapre", "train_args": (2, 3, 7)},
+            {"variant": "mc-ssapre", "train_args": (2, 3, 7),
+             "solver": "lospre"},
+            {"variant": "ssapre-sp", "cleanup": True},
+            {"variant": "lcm"},
+        ]
+        requests = [
+            CompileRequest(source=loop_source, args=(2, 3, 5), **config)
+            for config in configs
+        ]
+        expected = []
+        for request in requests:
+            with CompileService() as fresh:
+                expected.append(_answer(fresh.handle(request)))
+        schedule = [i % len(requests) for i in range(40)]
+        barrier = threading.Barrier(2)
+
+        with CompileService() as service:
+            def client(offset):
+                barrier.wait(timeout=10.0)
+                return [
+                    (i, _answer(service.handle(requests[i])))
+                    for i in schedule[offset::2]
+                ]
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(client, offset) for offset in (0, 1)]
+                results = [row for f in futures for row in f.result()]
+        assert len(results) == len(schedule)
+        for i, answer in results:
+            assert answer == expected[i]
+        assert len(service._plans) == len(requests)
+
+    def test_adaptive_service_caches_plans(self, loop_source):
+        request = CompileRequest(
+            source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
+            train_args=(2, 3, 5),
+        )
+        with CompileService(adapt=AdaptConfig(warmup=100)) as service:
+            answers = [service.handle(request) for _ in range(3)]
+            (skey,) = service.adapt._states
+        assert service.metrics.get("plan_hits") == 2
+        assert [a.served_by for a in answers] == ["interp"] * 3
+        # The plan's key is the structural key when adapt is on.
+        prepared = prepare(parse_function(loop_source))
+        assert skey == structural_key(
+            prepared, request.config(), engine=request.engine
+        )
+        assert {a.key for a in answers} == {skey}
+
+
+def _answer(response):
+    return (
+        response.status,
+        response.key,
+        response.observable(),
+        response.dynamic_cost,
+        response.steps,
+    )
