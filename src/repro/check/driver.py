@@ -41,7 +41,7 @@ from repro.parallel import ParallelMapError, parallel_map
 from repro.passes.cache import AnalysisCache
 from repro.passes.compiler import VARIANTS, PipelineConfig, compile as compile_func
 from repro.pipeline import prepare
-from repro.profiles.interp import InterpreterError, run_function
+from repro.profiles.interp import RUN_FIELDS, InterpreterError, run_function
 from repro.check.oracles import (
     DEFAULT_MAX_STEPS,
     ORACLE_NAMES,
@@ -402,18 +402,6 @@ def build_case(
     return result
 
 
-#: What engine parity compares, in order: (failure category, field,
-#: view of a RunResult).
-_PARITY_FIELDS = (
-    ("compile", "observables", lambda run: run.observable()),
-    ("profile", "node_freq", lambda run: dict(run.profile.node_freq)),
-    ("profile", "edge_freq", lambda run: dict(run.profile.edge_freq)),
-    ("profile", "expr_counts", lambda run: dict(run.expr_counts)),
-    ("profile", "dynamic_cost", lambda run: run.dynamic_cost),
-    ("profile", "steps", lambda run: run.steps),
-)
-
-
 def _engine_difference(first, second) -> tuple[str, str, object, object] | None:
     """``(category, field, first view, second view)`` of the first
     difference between two run outcomes — a RunResult, or the exception
@@ -426,7 +414,7 @@ def _engine_difference(first, second) -> tuple[str, str, object, object] | None:
             for o in (first, second)
         ]
         return "compile", "outcome", *views
-    for category, name, view in _PARITY_FIELDS:
+    for category, name, view in RUN_FIELDS:
         a, b = view(first), view(second)
         if a != b:
             return category, name, a, b

@@ -1,12 +1,10 @@
-"""Max-flow algorithms over :class:`~repro.flownet.network.FlowNetwork`.
+"""Max flow over :class:`~repro.flownet.network.FlowNetwork`.
 
-Dinic's algorithm is the default (the paper quotes an O(V²·√E)-class
-min-cut as acceptable because EFGs are tiny; Dinic is comfortably inside
-that envelope).  Edmonds–Karp is kept as an independent implementation for
-differential testing.
-
-Both operate on a shared residual representation so the cut-extraction
-code in :mod:`repro.flownet.mincut` works with either.
+Dinic's algorithm (the paper quotes an O(V²·√E)-class min-cut as
+acceptable because EFGs are tiny; Dinic is comfortably inside that
+envelope).  It leaves an adjacency-array residual graph, which the
+cut extraction in :mod:`repro.flownet.mincut` labels.  The tests check
+it against networkx.
 """
 
 from __future__ import annotations
@@ -40,9 +38,9 @@ class Residual:
         """Per-node outgoing arc ids, built once and shared thereafter.
 
         The arc *topology* is fixed after :func:`build_residual` — flow
-        augmentation only mutates ``cap`` — so one index serves the BFS
-        of both solvers and both reachability helpers.  The per-node
-        order matches ``head``/``next_arc`` traversal, keeping results
+        augmentation only mutates ``cap`` — so one index serves Dinic's
+        searches and both reachability helpers.  The per-node order
+        matches ``head``/``next_arc`` traversal, keeping results
         deterministic and identical to linked-list iteration.
         """
         index = self._arcs_out
@@ -185,44 +183,3 @@ def dinic_max_flow(network: FlowNetwork) -> tuple[int, Residual]:
 
 
 _INF = 1 << 62
-
-
-def edmonds_karp_max_flow(network: FlowNetwork) -> tuple[int, Residual]:
-    """Edmonds–Karp (BFS augmenting paths); differential-test oracle."""
-    res = build_residual(network)
-    arcs_out = res.arcs_out()
-    source = res.node_index[network.source]
-    sink = res.node_index[network.sink]
-    n = len(res.nodes)
-    total = 0
-    while True:
-        parent_arc = [-1] * n
-        parent_arc[source] = -2
-        queue = deque([source])
-        found = False
-        while queue and not found:
-            u = queue.popleft()
-            for arc in arcs_out[u]:
-                v = res.to[arc]
-                if res.cap[arc] > 0 and parent_arc[v] == -1:
-                    parent_arc[v] = arc
-                    if v == sink:
-                        found = True
-                        break
-                    queue.append(v)
-        if not found:
-            return total, res
-        # Find bottleneck.
-        bottleneck = _INF
-        v = sink
-        while v != source:
-            arc = parent_arc[v]
-            bottleneck = min(bottleneck, res.cap[arc])
-            v = res.to[arc ^ 1]
-        v = sink
-        while v != source:
-            arc = parent_arc[v]
-            res.cap[arc] -= bottleneck
-            res.cap[arc ^ 1] += bottleneck
-            v = res.to[arc ^ 1]
-        total += bottleneck

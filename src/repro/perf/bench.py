@@ -2,10 +2,9 @@
 
 Every benchmark here is deterministic in everything but the clock: the
 programs come from the seeded generator suite
-(:mod:`repro.bench.workloads`), the flow networks from a seeded layered
-generator, and every timed section is re-run ``repeat`` times with the
-minimum reported (the standard way to suppress scheduler noise on a
-shared machine).
+(:mod:`repro.bench.workloads`), and every timed section is re-run
+``repeat`` times with the minimum reported (the standard way to suppress
+scheduler noise on a shared machine).
 """
 
 from __future__ import annotations
@@ -14,15 +13,12 @@ import gc
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from repro.bench.workloads import load_workload
 from repro.core.solvers.base import SpeculationSolver
 from repro.core.solvers.lospre import LospreSolver
 from repro.core.solvers.mincut import MinCutSolver
 from repro.core.worklist import DEFAULT_ITERATIVE_ROUNDS
-from repro.flownet.maxflow import dinic_max_flow, edmonds_karp_max_flow
-from repro.flownet.network import FlowNetwork
 from repro.passes.compiler import PipelineConfig, compile as compile_func
 from repro.passes.stages import (
     ConstructSSAPass,
@@ -31,7 +27,11 @@ from repro.passes.stages import (
 )
 from repro.pipeline import prepare
 from repro.profiles.compiled import chord_bound, compile_function
-from repro.profiles.interp import RunResult, run_function
+from repro.profiles.interp import (
+    RunResult,
+    run_function,
+    runresult_mismatches,
+)
 from repro.profiles.profile import ExecutionProfile
 
 #: Version of the BENCH.json layout.  docs/PERF.md documents the
@@ -66,26 +66,6 @@ def _best_of(repeat: int, fn) -> tuple[float, object]:
         if elapsed < best:
             best, best_result = elapsed, result
     return best, best_result
-
-
-def runresult_mismatches(a: RunResult, b: RunResult) -> list[str]:
-    """Field names on which two RunResults disagree (empty = identical)."""
-    out = []
-    if a.return_value != b.return_value:
-        out.append("return_value")
-    if a.output != b.output:
-        out.append("output")
-    if dict(a.profile.node_freq) != dict(b.profile.node_freq):
-        out.append("profile.node_freq")
-    if dict(a.profile.edge_freq) != dict(b.profile.edge_freq):
-        out.append("profile.edge_freq")
-    if a.dynamic_cost != b.dynamic_cost:
-        out.append("dynamic_cost")
-    if dict(a.expr_counts) != dict(b.expr_counts):
-        out.append("expr_counts")
-    if a.steps != b.steps:
-        out.append("steps")
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -979,34 +959,19 @@ def bench_cluster(load_rps: float, requests: int = 96, unique: int = 6) -> dict:
         with Cluster(
             CLUSTER_WORKERS, cache_dir=cache_dir, lock_dir=lock_dir
         ) as cluster:
-            first = workload.requests[0]
             before = cluster.merged_metrics()["counters"]
             answers = race_cold_key(
-                cluster.worker_ports(),
-                {
-                    "source": first.source,
-                    "args": list(first.args),
-                    "variant": first.variant,
-                    "rounds": first.rounds,
-                    "train_args": (
-                        list(first.train_args)
-                        if first.train_args is not None else None
-                    ),
-                },
+                cluster.worker_ports(), workload.requests[0]
             )
             after = cluster.merged_metrics()["counters"]
-            observables = {
-                (a.get("return_value"), tuple(a.get("output") or ()))
-                for a in answers
-            }
             race = {
                 "clients": len(answers),
                 "compiles": after["compiles"] - before["compiles"],
                 "rehydrates": (
                     after["lock_rehydrates"] - before["lock_rehydrates"]
                 ),
-                "agreed": len(observables) == 1,
-                "all_ok": all(a.get("status") == "ok" for a in answers),
+                "agreed": len({a.observable() for a in answers}) == 1,
+                "all_ok": all(a.status == "ok" for a in answers),
             }
             race["ok"] = (
                 race["compiles"] == 1 and race["agreed"] and race["all_ok"]
@@ -1247,66 +1212,3 @@ def bench_adaptation() -> dict:
     finally:
         gate.release.set()
         service.close()
-
-
-# ----------------------------------------------------------------------
-# Max-flow: Dinic vs Edmonds-Karp on deterministic scaling networks.
-# ----------------------------------------------------------------------
-
-@dataclass
-class _Lcg:
-    """Tiny deterministic generator (keeps network shapes pinned)."""
-
-    state: int
-
-    def next(self, bound: int) -> int:
-        self.state = (
-            self.state * 6364136223846793005 + 1442695040888963407
-        ) % (1 << 64)
-        return (self.state >> 33) % bound
-
-
-def scaling_network(layers: int, width: int, seed: int = 7) -> FlowNetwork:
-    """A layered network: source → L dense layers of ``width`` → sink.
-
-    Consecutive layers are fully connected with seeded capacities, which
-    forces many short augmenting paths — the regime where Dinic's level
-    graph pays off over Edmonds-Karp's one-path-per-BFS.
-    """
-    rng = _Lcg(seed + 1000003 * layers + width)
-    net = FlowNetwork("s", "t")
-    for j in range(width):
-        net.add_edge("s", (0, j), 1 + rng.next(50))
-    for i in range(layers - 1):
-        for j in range(width):
-            for k in range(width):
-                net.add_edge((i, j), (i + 1, k), 1 + rng.next(20))
-    for j in range(width):
-        net.add_edge((layers - 1, j), "t", 1 + rng.next(50))
-    return net
-
-
-def bench_maxflow(sizes: tuple[tuple[int, int], ...], repeat: int) -> dict:
-    rows = []
-    agreed = True
-    for layers, width in sizes:
-        network = scaling_network(layers, width)
-        dinic_s, (dinic_flow, _) = _best_of(
-            repeat, lambda: dinic_max_flow(network)
-        )
-        ek_s, (ek_flow, _) = _best_of(
-            repeat, lambda: edmonds_karp_max_flow(network)
-        )
-        agreed = agreed and dinic_flow == ek_flow
-        rows.append({
-            "layers": layers,
-            "width": width,
-            "nodes": network.node_count(),
-            "edges": network.edge_count(),
-            "max_flow": dinic_flow,
-            "dinic_s": round(dinic_s, 6),
-            "edmonds_karp_s": round(ek_s, 6),
-            "ek_over_dinic": round(ek_s / dinic_s, 2) if dinic_s else 0.0,
-            "flows_agree": dinic_flow == ek_flow,
-        })
-    return {"networks": rows, "agreed": agreed}

@@ -27,7 +27,6 @@ from repro.perf.bench import (
     bench_compile,
     bench_execution,
     bench_iterative,
-    bench_maxflow,
     bench_memory,
     bench_profiling,
     bench_serving,
@@ -134,15 +133,6 @@ SECTIONS = (
     Section(
         "serving",
         lambda quick, repeat, solver: _serving(quick, repeat),
-    ),
-    # (layers, width) of the scaling flow networks.
-    Section(
-        "maxflow",
-        lambda quick, repeat, solver: bench_maxflow(
-            ((4, 4), (6, 6)) if quick else ((6, 6), (10, 10), (14, 14)),
-            repeat,
-        ),
-        gate="agreed",
     ),
     # The head of each generated suite: the chord bound and derived-
     # profile parity are checked on integer, floating-point and

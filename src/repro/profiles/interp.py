@@ -58,6 +58,26 @@ class RunResult:
         return (self.return_value, tuple(self.output))
 
 
+#: What two runs of one program must agree on, in order: (category,
+#: field, view of a RunResult).  A differing observable is a wrong
+#: answer (category ``compile``), a differing count a wrong profile
+#: (``profile``).  The check driver's engine parity and the perf
+#: suite's mismatch lists both read it.
+RUN_FIELDS = (
+    ("compile", "observables", RunResult.observable),
+    ("profile", "node_freq", lambda run: dict(run.profile.node_freq)),
+    ("profile", "edge_freq", lambda run: dict(run.profile.edge_freq)),
+    ("profile", "expr_counts", lambda run: dict(run.expr_counts)),
+    ("profile", "dynamic_cost", lambda run: run.dynamic_cost),
+    ("profile", "steps", lambda run: run.steps),
+)
+
+
+def runresult_mismatches(a: RunResult, b: RunResult) -> list[str]:
+    """The :data:`RUN_FIELDS` on which two runs disagree (empty = identical)."""
+    return [name for _category, name, view in RUN_FIELDS if view(a) != view(b)]
+
+
 def run_function(
     func: Function,
     args: list[int] | None = None,

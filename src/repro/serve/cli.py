@@ -8,23 +8,24 @@ Two subcommands:
     output line (schema in ``docs/SERVING.md``).  By default the
     transport is stdin/stdout (pipe-friendly, trivially scriptable);
     ``--port`` switches to a threaded TCP server speaking the same
-    line protocol, one connection per client.
+    line protocol, one connection per client.  ``--cluster N`` serves
+    through the sharded cluster instead (docs/SERVING.md, "Cluster"):
+    N worker processes behind the asyncio front end.
 
 ``load``
     Build the deterministic load-generator workload
     (:mod:`repro.serve.loadgen`), drive it through an in-process service
     with ``--jobs`` client threads, and gate on the results: non-zero
-    exit when any answer mismatched the reference interpreter, any
-    request errored, or the hit rate fell below ``--min-hit-rate``.
-    This is the CI serving smoke job.
+    exit when any answer mismatched the reference interpreter (with
+    ``--adapt``, the post-swap replay included), any request errored,
+    the hit rate fell below ``--min-hit-rate``, or, with ``--adapt``,
+    the background recompiles did not drain.  This is the CI serving
+    smoke job.  The cluster and adaptation scenarios are gated by
+    ``python -m repro.perf --only serving``.
 
-Cluster mode (docs/SERVING.md, "Cluster"): ``serve --cluster N`` runs
-the sharded cluster — N worker processes behind the asyncio front end —
-instead of an in-process service, and ``load --cluster N`` stands up
-that cluster, drives the workload over TCP (closed loop, or open loop
-with ``--open-loop --rps R``), and gates on zero mismatches, the
-exactly-one-compile-per-cold-key invariant (merged per-worker
-``compiles`` == the workload's unique pool), and ``--p99-max``.
+``--metrics-out PATH`` keeps PATH a current metrics snapshot: rewritten
+every :data:`METRICS_EVERY_S` seconds while the command runs, and once
+more when it exits.
 """
 
 from __future__ import annotations
@@ -36,18 +37,17 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import Callable
 
 from repro.serve.adapt import AdaptConfig
 from repro.serve.adapt.drift import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD
 from repro.serve.adapt.tier import DEFAULT_WARMUP
 from repro.serve.loadgen import (
-    DEFAULT_MAX_CONNS,
     DEFAULT_VARIANTS,
-    TCPServiceClient,
+    Workload,
     WorkloadSpec,
     build_workload,
     run_load,
-    run_open_loop,
 )
 from repro.serve.server import (
     DEFAULT_TIMEOUT_S,
@@ -66,7 +66,7 @@ def _make_service(args: argparse.Namespace) -> CompileService:
         store = ArtifactStore()
         store.memory.max_entries = args.max_entries
     adapt = None
-    if getattr(args, "adapt", False):
+    if args.adapt:
         adapt = AdaptConfig(
             warmup=args.warmup,
             threshold=args.drift_threshold,
@@ -81,36 +81,42 @@ def _make_service(args: argparse.Namespace) -> CompileService:
     )
 
 
-class _MetricsDumper:
-    """Background thread writing periodic metrics snapshots to one path.
+#: Seconds between the snapshots ``--metrics-out`` is rewritten with.
+METRICS_EVERY_S = 1.0
 
-    Every snapshot is a full, self-consistent JSON document written via
-    temp file + :func:`os.replace`, so a reader polling the path can
-    never observe a torn write.
+
+class _MetricsDumper:
+    """Keeps ``--metrics-out`` current while a command runs.
+
+    Inside the ``with`` block a background thread writes ``snapshot()``
+    to *path* every :data:`METRICS_EVERY_S` seconds; leaving the block
+    writes the final snapshot.  Every write is a full JSON document put
+    in place by temp file + :func:`os.replace`, so a reader polling the
+    path never sees a torn write.  With no path it does nothing.
     """
 
-    def __init__(
-        self, service: CompileService, path: str, interval_s: float
-    ) -> None:
-        self.service = service
-        self.path = Path(path)
-        self.interval_s = max(0.05, interval_s)
+    def __init__(self, path: str | None, snapshot: Callable[[], dict]) -> None:
+        self.path = Path(path) if path else None
+        self.snapshot = snapshot
         self._stop = threading.Event()
         self._thread = threading.Thread(
-            target=self._run, name="repro-metrics-dump", daemon=True
+            target=self._run, name="repro-metrics-out", daemon=True
         )
 
-    def start(self) -> "_MetricsDumper":
-        self._thread.start()
+    def __enter__(self) -> "_MetricsDumper":
+        if self.path is not None:
+            self._thread.start()
         return self
 
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self.dump()  # final snapshot, so short runs still leave one
+    def __exit__(self, *exc_info) -> None:
+        if self.path is not None:
+            self._stop.set()
+            self._thread.join(timeout=5.0)
+            self.dump()  # the final snapshot, so short runs still leave one
 
     def dump(self) -> None:
-        payload = json.dumps(self.service.metrics.to_dict(), indent=2) + "\n"
+        assert self.path is not None
+        payload = json.dumps(self.snapshot(), indent=2) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(self.path.parent), prefix=f".{self.path.name}.", suffix=".tmp"
@@ -127,7 +133,7 @@ class _MetricsDumper:
             raise
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(METRICS_EVERY_S):
             self.dump()
 
 
@@ -181,65 +187,28 @@ def _serve_tcp(service: CompileService, host: str, port: int) -> None:
         server.serve_forever()
 
 
-def _write_metrics(service: CompileService, path: str | None) -> None:
-    if path:
-        Path(path).write_text(
-            json.dumps(service.metrics.to_dict(), indent=2) + "\n"
-        )
-
-
-class _ClusterMetricsProxy:
-    """Duck-types the ``service.metrics`` surface the dumper and the
-    final-snapshot writer read, backed by the cluster's merged view."""
-
-    def __init__(self, cluster) -> None:
-        self.metrics = self
-        self._cluster = cluster
-
-    def to_dict(self) -> dict:
-        return self._cluster.merged_metrics()
-
-
-def _start_cluster(args: argparse.Namespace, n_workers: int):
+def _serve_cluster(args: argparse.Namespace) -> int:
     from repro.serve.cluster import Cluster
 
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-cluster-cache-")
-    lock_dir = args.lock_dir or tempfile.mkdtemp(prefix="repro-cluster-locks-")
-    return Cluster(
-        n_workers,
-        cache_dir=cache_dir,
-        lock_dir=lock_dir,
-        host=getattr(args, "host", "127.0.0.1"),
-        port=getattr(args, "port", None) or 0,
+    cluster = Cluster(
+        args.cluster,
+        cache_dir=args.cache_dir or tempfile.mkdtemp(prefix="repro-cluster-cache-"),
+        lock_dir=args.lock_dir or tempfile.mkdtemp(prefix="repro-cluster-locks-"),
+        host=args.host,
+        port=args.port or 0,
         worker_threads=args.workers,
     ).start()
-
-
-def _serve_cluster(args: argparse.Namespace) -> int:
-    cluster = _start_cluster(args, args.cluster)
-    dumper = None
     try:
         print(
             f"cluster serving on {args.host}:{cluster.port} "
             f"({args.cluster} workers)",
             file=sys.stderr, flush=True,
         )
-        proxy = _ClusterMetricsProxy(cluster)
-        if args.metrics_dump:
-            dumper = _MetricsDumper(
-                proxy, args.metrics_dump, args.metrics_dump_every
-            ).start()
-        try:
+        with _MetricsDumper(args.metrics_out, cluster.merged_metrics):
             threading.Event().wait()  # serve until interrupted
-        except KeyboardInterrupt:
-            pass
-        if args.metrics_out:
-            Path(args.metrics_out).write_text(
-                json.dumps(cluster.merged_metrics(), indent=2) + "\n"
-            )
+    except KeyboardInterrupt:
+        pass
     finally:
-        if dumper is not None:
-            dumper.stop()
         cluster.stop()
     return 0
 
@@ -248,225 +217,70 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.cluster:
         return _serve_cluster(args)
     service = _make_service(args)
-    dumper = None
-    if args.metrics_dump:
-        dumper = _MetricsDumper(
-            service, args.metrics_dump, args.metrics_dump_every
-        ).start()
     try:
-        if args.port is not None:
-            _serve_tcp(service, args.host, args.port)
-        else:
-            _serve_stdio(service)
+        with _MetricsDumper(args.metrics_out, service.metrics.to_dict):
+            if args.port is not None:
+                _serve_tcp(service, args.host, args.port)
+            else:
+                _serve_stdio(service)
     except KeyboardInterrupt:
         pass
     finally:
-        if dumper is not None:
-            dumper.stop()
-        _write_metrics(service, args.metrics_out)
         service.close()
     return 0
 
 
-def _post_drift_verification(service, workload) -> tuple[int, int]:
-    """Replay the pool once after draining background recompiles.
+#: The adaptation counters the ``load --adapt`` report carries.
+_ADAPT_COUNTERS = (
+    "live_samples", "tier_interp", "drift_events", "recompiles",
+    "hot_swaps", "tier_promotions", "tier_demotions", "rollbacks",
+)
 
-    Every response must still match the reference interpreter — this is
-    the "post-swap answers are bit-identical" check, run against
-    whichever artifacts the hot swaps left bound.  Returns
-    ``(verified, mismatches)``.
-    """
+
+def _adaptation(
+    service: CompileService, workload: Workload, timeout: float
+) -> dict:
+    """Let in-flight promotions and recompiles land, then replay the
+    pool once: every answer must still match the reference interpreter,
+    whichever artifacts the hot swaps left bound."""
+    drained = service.adapt.drain(timeout=timeout)
     unique = workload.spec.unique
-    verified = mismatches = 0
+    mismatches = 0
     for request, expected in zip(
         workload.requests[:unique], workload.expected[:unique]
     ):
         response = service.handle(request)
-        verified += 1
         if response.status != "ok" or response.observable() != expected:
             mismatches += 1
-    return verified, mismatches
-
-
-def _load_cluster(args: argparse.Namespace, spec, workload) -> int:
-    """Drive the workload against a live cluster and gate on it."""
-    from repro.serve.cluster import race_cold_key
-
-    if args.open_loop and not args.rps:
-        print("--open-loop requires --rps", file=sys.stderr)
-        return 2
-    cluster = _start_cluster(args, args.cluster)
-    try:
-        race = None
-        if args.race_check:
-            # The cross-process cold-key race: the same cold request
-            # fired at every worker port simultaneously (bypassing the
-            # ring, which would collapse the race onto one worker).
-            # Exactly one compile must land cluster-wide.
-            before = cluster.merged_metrics()["counters"]
-            first = workload.requests[0]
-            answers = race_cold_key(
-                cluster.worker_ports(),
-                {
-                    "source": first.source,
-                    "args": list(first.args),
-                    "variant": first.variant,
-                    "rounds": first.rounds,
-                    "train_args": (
-                        list(first.train_args)
-                        if first.train_args is not None else None
-                    ),
-                },
-            )
-            after = cluster.merged_metrics()["counters"]
-            observables = {
-                (a.get("return_value"), tuple(a.get("output") or ()))
-                for a in answers
-            }
-            race = {
-                "clients": len(answers),
-                "all_ok": all(a.get("status") == "ok" for a in answers),
-                "agreed": len(observables) == 1,
-                "compiles": after["compiles"] - before["compiles"],
-                "rehydrates": (
-                    after["lock_rehydrates"] - before["lock_rehydrates"]
-                ),
-            }
-        if args.warm_pool:
-            # Prime every unique key once (the cold compiles) so the
-            # measured phase sees steady-state serving; without this an
-            # open-loop run charges the whole cold burst's queueing
-            # delay to the early requests' CO-free latency.
-            with TCPServiceClient(cluster.host, cluster.port) as client:
-                for request in workload.requests[:spec.unique]:
-                    client.handle(request)
-        if args.open_loop:
-            report = run_open_loop(
-                cluster.host, cluster.port, workload,
-                rps=args.rps, seed=args.seed, max_conns=args.max_conns,
-                timeout=args.timeout,
-            )
-        else:
-            with TCPServiceClient(cluster.host, cluster.port) as client:
-                report, _responses = run_load(client, workload, jobs=args.jobs)
-        merged = cluster.merged_metrics()
-        if args.metrics_out:
-            Path(args.metrics_out).write_text(
-                json.dumps(merged, indent=2) + "\n"
-            )
-    finally:
-        cluster.stop()
-
-    payload = report.to_dict()
-    payload["cluster"] = merged["cluster"]
-    payload["merged_counters"] = merged["counters"]
-    if race is not None:
-        payload["race"] = race
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        p99 = report.latency.get("p99_s", 0.0)
-        rps = getattr(report, "achieved_rps", None) or report.rps
-        print(
-            f"cluster load: {report.requests} request(s), {report.ok} ok, "
-            f"{report.errors} error(s), {report.mismatches} mismatch(es)"
-        )
-        print(
-            f"cluster load: {rps:.1f} req/s, p99 {p99 * 1000:.1f}ms, "
-            f"compiles {merged['counters']['compiles']} "
-            f"(pool of {spec.unique})"
-        )
-        if race is not None:
-            print(
-                f"cluster load: cold race compiles={race['compiles']} "
-                f"rehydrates={race['rehydrates']} agreed={race['agreed']}"
-            )
-
-    failures = []
-    if report.mismatches:
-        failures.append(f"{report.mismatches} mismatch(es) vs reference")
-    if report.errors:
-        failures.append(f"{report.errors} error response(s)")
-    if report.timeouts:
-        failures.append(f"{report.timeouts} timeout(s)")
-    # Exactly one compile per cold key, cluster-wide: ring routing plus
-    # cross-process single-flight must never duplicate a build.  The
-    # race check adds one extra key compiled outside the pool count
-    # only if request[0]'s key was re-raced; it is pool key 0, so the
-    # total stays spec.unique.
-    compiles = merged["counters"]["compiles"]
-    if compiles != spec.unique:
-        failures.append(
-            f"{compiles} compile(s) across workers for {spec.unique} "
-            "unique key(s)"
-        )
-    if args.p99_max and report.latency.get("p99_s", 0.0) > args.p99_max:
-        failures.append(
-            f"p99 {report.latency['p99_s']:.4f}s > bound {args.p99_max:g}s"
-        )
-    if race is not None:
-        if not race["all_ok"] or not race["agreed"]:
-            failures.append("cold-key race answers disagreed")
-        if race["compiles"] != 1:
-            failures.append(
-                f"cold-key race compiled {race['compiles']} time(s), not 1"
-            )
-    if failures:
-        print("CLUSTER GATE FAILURE: " + "; ".join(failures), file=sys.stderr)
-        return 1
-    return 0
+    counters = service.metrics.to_dict()["counters"]
+    return {
+        "drained": drained,
+        "post_swap_verified": unique,
+        "post_swap_mismatches": mismatches,
+        **{name: counters[name] for name in _ADAPT_COUNTERS},
+        "keys": service.adapt.describe(),
+    }
 
 
 def cmd_load(args: argparse.Namespace) -> int:
-    spec = WorkloadSpec(
+    workload = build_workload(WorkloadSpec(
         requests=args.requests,
         unique=args.unique,
         variants=tuple(args.variants.split(",")),
         seed=args.seed,
         rounds=args.rounds,
         drift_at=args.drift_at,
-    )
-    workload = build_workload(spec)
-    if args.cluster:
-        return _load_cluster(args, spec, workload)
+    ))
     service = _make_service(args)
-    dumper = None
-    if args.metrics_dump:
-        dumper = _MetricsDumper(
-            service, args.metrics_dump, args.metrics_dump_every
-        ).start()
     adaptation: dict | None = None
     try:
-        report, _responses = run_load(service, workload, jobs=args.jobs)
-        if service.adapt is not None:
-            # Let in-flight promotions/recompiles land, then prove the
-            # swapped-in artifacts still answer exactly like the
-            # reference interpreter.
-            drained = service.adapt.drain(timeout=args.timeout)
-            verified, swap_mismatches = _post_drift_verification(
-                service, workload
-            )
-            report.mismatches += swap_mismatches
-            counters = service.metrics.to_dict()["counters"]
-            adaptation = {
-                "drained": drained,
-                "post_swap_verified": verified,
-                "post_swap_mismatches": swap_mismatches,
-                "live_samples": counters["live_samples"],
-                "tier_interp": counters["tier_interp"],
-                "drift_events": counters["drift_events"],
-                "recompiles": counters["recompiles"],
-                "hot_swaps": counters["hot_swaps"],
-                "tier_promotions": counters["tier_promotions"],
-                "tier_demotions": counters["tier_demotions"],
-                "rollbacks": counters["rollbacks"],
-                "keys": service.adapt.describe(),
-            }
-            report.metrics = service.metrics.to_dict()
+        with _MetricsDumper(args.metrics_out, service.metrics.to_dict):
+            report, _responses = run_load(service, workload, jobs=args.jobs)
+            if service.adapt is not None:
+                adaptation = _adaptation(service, workload, args.timeout)
+                report.mismatches += adaptation["post_swap_mismatches"]
+                report.metrics = service.metrics.to_dict()
     finally:
-        if dumper is not None:
-            dumper.stop()
-        _write_metrics(service, args.metrics_out)
         service.close()
 
     payload = report.to_dict()
@@ -509,21 +323,8 @@ def cmd_load(args: argparse.Namespace) -> int:
         failures.append(
             f"hit rate {report.hit_rate:.3f} < required {args.min_hit_rate:.3f}"
         )
-    if adaptation is not None:
-        if not adaptation["drained"]:
-            failures.append("background recompiles did not drain")
-        if adaptation["hot_swaps"] < args.min_hot_swaps:
-            failures.append(
-                f"hot swaps {adaptation['hot_swaps']} < required "
-                f"{args.min_hot_swaps}"
-            )
-        if adaptation["tier_promotions"] < args.min_promotions:
-            failures.append(
-                f"tier promotions {adaptation['tier_promotions']} < required "
-                f"{args.min_promotions}"
-            )
-    elif args.min_hot_swaps or args.min_promotions:
-        failures.append("--min-hot-swaps/--min-promotions require --adapt")
+    if adaptation is not None and not adaptation["drained"]:
+        failures.append("background recompiles did not drain")
     if failures:
         print("LOAD GATE FAILURE: " + "; ".join(failures), file=sys.stderr)
         return 1
@@ -548,26 +349,11 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help=f"per-request deadline in seconds (default {DEFAULT_TIMEOUT_S:g})",
     )
     parser.add_argument(
-        "--lock-dir", default=None, metavar="DIR",
-        help=(
-            "enable cross-process single-flight: per-key flock build "
-            "locks under DIR (share it, and --cache-dir, across workers)"
-        ),
-    )
-    parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write the final metrics snapshot as JSON to PATH",
-    )
-    parser.add_argument(
-        "--metrics-dump", default=None, metavar="PATH",
         help=(
-            "periodically write full metrics snapshots to PATH "
-            "(atomic replace; see --metrics-dump-every)"
+            "keep PATH a JSON metrics snapshot: replaced atomically "
+            f"every {METRICS_EVERY_S:g}s and at exit"
         ),
-    )
-    parser.add_argument(
-        "--metrics-dump-every", type=float, default=5.0, metavar="S",
-        help="interval between --metrics-dump snapshots (default 5s)",
     )
     parser.add_argument(
         "--adapt", action="store_true",
@@ -629,6 +415,13 @@ def main(argv: list[str] | None = None) -> int:
             "behind the consistent-hash TCP front end (0 = in-process)"
         ),
     )
+    serve.add_argument(
+        "--lock-dir", default=None, metavar="DIR",
+        help=(
+            "enable cross-process single-flight: per-key flock build "
+            "locks under DIR (share it, and --cache-dir, across workers)"
+        ),
+    )
     serve.set_defaults(func=cmd_serve)
 
     load = sub.add_parser(
@@ -671,60 +464,8 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     load.add_argument(
-        "--min-hot-swaps", type=int, default=0, metavar="N",
-        help="fail unless >= N drift-triggered hot swaps happened (needs --adapt)",
-    )
-    load.add_argument(
-        "--min-promotions", type=int, default=0, metavar="N",
-        help="fail unless >= N interp->compiled promotions happened (needs --adapt)",
-    )
-    load.add_argument(
         "--json", action="store_true",
         help="print the load report as JSON instead of a summary",
-    )
-    load.add_argument(
-        "--cluster", type=int, default=0, metavar="N",
-        help=(
-            "drive the workload against a live N-worker cluster over "
-            "TCP instead of an in-process service"
-        ),
-    )
-    load.add_argument(
-        "--open-loop", action="store_true",
-        help=(
-            "open-loop mode: arrivals follow a seeded Poisson schedule "
-            "at --rps, independent of server speed (needs --cluster)"
-        ),
-    )
-    load.add_argument(
-        "--rps", type=float, default=0.0, metavar="R",
-        help="offered request rate for --open-loop",
-    )
-    load.add_argument(
-        "--p99-max", type=float, default=0.0, metavar="S",
-        help="fail if p99 latency exceeds S seconds (0 = no gate)",
-    )
-    load.add_argument(
-        "--max-conns", type=int, default=DEFAULT_MAX_CONNS, metavar="N",
-        help=(
-            "open-loop connection-pool size "
-            f"(default {DEFAULT_MAX_CONNS})"
-        ),
-    )
-    load.add_argument(
-        "--warm-pool", action="store_true",
-        help=(
-            "prime every unique key once before the measured load, so "
-            "latency gates see steady-state serving (needs --cluster)"
-        ),
-    )
-    load.add_argument(
-        "--race-check", action="store_true",
-        help=(
-            "before the load, fire the first cold request at every "
-            "worker simultaneously and require exactly one compile "
-            "(needs --cluster)"
-        ),
     )
     load.set_defaults(func=cmd_load)
 

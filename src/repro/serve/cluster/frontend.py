@@ -25,6 +25,7 @@ keeps its ring identity, so no keys move.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import hashlib
 import json
 import socket
@@ -39,7 +40,7 @@ from repro.serve.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.serve.cluster.worker import WorkerHandle
 from repro.serve.keys import structural_key
 from repro.serve.metrics import merge_metrics_dicts
-from repro.serve.server import CompileRequest
+from repro.serve.server import CompileRequest, ServeResponse
 
 #: Request fields that vary per input but never change the route.
 _INPUT_FIELDS = frozenset({"args", "train_args", "max_steps"})
@@ -409,10 +410,10 @@ class Cluster:
 
 def race_cold_key(
     targets: list[tuple[str, int]],
-    request: dict,
+    request: CompileRequest,
     *,
     timeout: float = 60.0,
-) -> list[dict]:
+) -> list[ServeResponse]:
     """Fire one identical request at several workers *simultaneously*.
 
     Connects to each worker's own port — deliberately bypassing the
@@ -423,9 +424,9 @@ def race_cold_key(
     merged ``compiles`` counters around the call.
     """
     barrier = threading.Barrier(len(targets))
-    results: list[Optional[dict]] = [None] * len(targets)
+    results: list[Optional[ServeResponse]] = [None] * len(targets)
     errors: list[Optional[Exception]] = [None] * len(targets)
-    line = (json.dumps(request) + "\n").encode()
+    line = (json.dumps(dataclasses.asdict(request)) + "\n").encode()
 
     def shoot(i: int, host: str, port: int) -> None:
         try:
@@ -434,7 +435,9 @@ def race_cold_key(
                 barrier.wait(timeout=timeout)
                 sock.sendall(line)
                 reader = sock.makefile("r", encoding="utf-8")
-                results[i] = json.loads(reader.readline())
+                results[i] = ServeResponse.from_dict(
+                    json.loads(reader.readline())
+                )
         except Exception as exc:  # noqa: BLE001 - surfaced to the caller
             errors[i] = exc
 

@@ -13,8 +13,8 @@ Each request's expected observable behaviour is precomputed on the
 reference interpreter over the *unoptimised* prepared function, so the
 run doubles as a differential test: any served answer that deviates is a
 **mismatch**, whether it came from a fresh compile, the cache, a
-degraded fallback, or the adaptation tier mid-hot-swap.  The CI smoke
-jobs require zero.
+degraded fallback, or the adaptation tier mid-hot-swap.  The CI serving
+smoke job and the perf suite's ``serving`` section require zero.
 
 A spec with ``drift_at=K`` is *phase-shifting*: from request ``K`` on,
 argument vectors come from an independent distribution, so the live
@@ -45,11 +45,14 @@ from repro.serve.server import CompileRequest, CompileService, ServeResponse
 
 DEFAULT_VARIANTS = ("mc-ssapre", "ssapre")
 
-#: Default connection-pool size for the open-loop client.
-DEFAULT_MAX_CONNS = 32
+#: Connection-pool size of the open-loop client.
+OPEN_LOOP_CONNS = 32
+
+#: Seconds the open-loop client waits for one answer before counting a
+#: timeout.
+OPEN_LOOP_TIMEOUT_S = 120.0
 
 __all__ = [
-    "DEFAULT_MAX_CONNS",
     "DEFAULT_VARIANTS",
     "OpenLoopReport",
     "TCPServiceClient",
@@ -259,10 +262,25 @@ def run_load(
             len(responses) / (busy_s / max(1, jobs)) if busy_s > 0 else 0.0
         ),
     )
-    for response, expected in zip(responses, workload.expected):
+    _count_responses(report, responses, workload.expected)
+    report.hit_rate = service.metrics.hit_rate()
+    report.metrics = service.metrics.to_dict()
+    return report, responses
+
+
+def _count_responses(
+    report: "LoadReport | OpenLoopReport",
+    responses: list[ServeResponse],
+    expected: list[tuple],
+) -> None:
+    """Count each response into *report* (either kind of load report):
+    its status, a mismatch for every ``ok`` answer whose observable
+    differs from the reference, whether it was degraded, and which tier
+    served it."""
+    for response, want in zip(responses, expected):
         if response.status == "ok":
             report.ok += 1
-            if response.observable() != expected:
+            if response.observable() != want:
                 report.mismatches += 1
         elif response.status == "timeout":
             report.timeouts += 1
@@ -274,9 +292,6 @@ def run_load(
             report.served_by[response.served_by] = (
                 report.served_by.get(response.served_by, 0) + 1
             )
-    report.hit_rate = service.metrics.hit_rate()
-    report.metrics = service.metrics.to_dict()
-    return report, responses
 
 
 def latency_summary(latencies: list[float]) -> dict:
@@ -296,13 +311,12 @@ def latency_summary(latencies: list[float]) -> dict:
 
 
 class TCPServiceClient:
-    """A ``CompileService``-shaped client over the JSON-lines protocol.
+    """A client of the JSON-lines protocol over TCP.
 
-    Exposes ``handle(request) -> ServeResponse`` and a ``metrics``
-    facade, so :func:`run_load` (and the CLI's gates) drive a remote
-    server — a single worker or the whole cluster front end — exactly
-    like an in-process service.  Connections are per-thread, so the
-    ``jobs`` fan-out in ``run_load`` maps to real concurrent sockets.
+    ``handle(request) -> ServeResponse`` asks a remote server — a single
+    worker or the whole cluster front end — exactly like an in-process
+    service.  Connections are per-thread, so concurrent callers use
+    real concurrent sockets.
     """
 
     def __init__(
@@ -314,7 +328,6 @@ class TCPServiceClient:
         self._local = threading.local()
         self._conns: list[socket.socket] = []
         self._conns_lock = threading.Lock()
-        self.metrics = _RemoteMetrics(self)
 
     def _exchange(self, payload: dict) -> dict:
         stream = getattr(self._local, "stream", None)
@@ -355,20 +368,6 @@ class TCPServiceClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class _RemoteMetrics:
-    """The slice of :class:`ServeMetrics` the load driver reads, served
-    by the remote end's in-band ``{"cmd": "metrics"}``."""
-
-    def __init__(self, client: TCPServiceClient) -> None:
-        self._client = client
-
-    def to_dict(self) -> dict:
-        return self._client._exchange({"cmd": "metrics"})
-
-    def hit_rate(self) -> float:
-        return float(self.to_dict()["hit_rate"])
 
 
 # ----------------------------------------------------------------------
@@ -446,48 +445,34 @@ def run_open_loop(
     *,
     rps: float,
     seed: int = 0,
-    max_conns: int = DEFAULT_MAX_CONNS,
-    timeout: float = 120.0,
 ) -> OpenLoopReport:
     """Drive *workload* at a fixed offered rate against a TCP server.
 
     Arrivals follow :func:`open_loop_schedule` regardless of how fast
     the server answers; a request whose arrival time has passed is
-    dispatched immediately (it queues for one of ``max_conns`` pooled
-    connections if all are busy, and that wait is part of its CO-free
-    latency).  Differential checking is identical to the closed loop:
+    dispatched immediately (it queues for one of :data:`OPEN_LOOP_CONNS`
+    pooled connections if all are busy, and that wait is part of its
+    CO-free latency).  Differential checking is identical to the closed loop:
     every ``ok`` answer is compared against the workload's reference
     expectations.
     """
-    return asyncio.run(
-        _open_loop_async(
-            host, port, workload,
-            rps=rps, seed=seed, max_conns=max_conns, timeout=timeout,
-        )
-    )
+    return asyncio.run(_open_loop_async(host, port, workload, rps, seed))
 
 
 async def _open_loop_async(
-    host: str,
-    port: int,
-    workload: Workload,
-    *,
-    rps: float,
-    seed: int,
-    max_conns: int,
-    timeout: float,
+    host: str, port: int, workload: Workload, rps: float, seed: int
 ) -> OpenLoopReport:
     n = len(workload.requests)
     schedule = open_loop_schedule(n, rps, seed)
     loop = asyncio.get_event_loop()
 
     pool: asyncio.Queue = asyncio.Queue()
-    conns = min(max_conns, n)
+    conns = min(OPEN_LOOP_CONNS, n)
     for _ in range(conns):
         reader, writer = await asyncio.open_connection(host, port)
         pool.put_nowait((reader, writer))
 
-    results: list[dict | None] = [None] * n
+    responses: list[ServeResponse | None] = [None] * n
     latencies = [0.0] * n            # scheduled arrival -> receive
     service_latencies = [0.0] * n    # actual send -> receive
     in_flight = 0
@@ -506,22 +491,24 @@ async def _open_loop_async(
                     (json.dumps(dataclasses.asdict(request)) + "\n").encode()
                 )
                 await writer.drain()
-                raw = await asyncio.wait_for(reader.readline(), timeout=timeout)
+                raw = await asyncio.wait_for(
+                    reader.readline(), timeout=OPEN_LOOP_TIMEOUT_S
+                )
                 recv_t = loop.time()
                 if not raw:
                     raise ConnectionError("server closed the connection")
             finally:
                 pool.put_nowait((reader, writer))
-            results[i] = json.loads(raw)
+            responses[i] = ServeResponse.from_dict(json.loads(raw))
             latencies[i] = recv_t - (t0 + scheduled)
             service_latencies[i] = recv_t - send_t
         except (OSError, ValueError, asyncio.TimeoutError) as exc:
             recv_t = loop.time()
-            results[i] = {
-                "status": "timeout" if isinstance(exc, asyncio.TimeoutError)
+            responses[i] = ServeResponse(
+                status="timeout" if isinstance(exc, asyncio.TimeoutError)
                 else "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+                error=f"{type(exc).__name__}: {exc}",
+            )
             latencies[i] = recv_t - (t0 + scheduled)
             service_latencies[i] = latencies[i]
         finally:
@@ -550,23 +537,5 @@ async def _open_loop_async(
         latency=latency_summary(latencies),
         service_latency=latency_summary(service_latencies),
     )
-    for data, expected in zip(results, workload.expected):
-        assert data is not None
-        status = data.get("status")
-        if status == "ok":
-            report.ok += 1
-            observable = (
-                data.get("return_value"), tuple(data.get("output") or ()),
-            )
-            if observable != expected:
-                report.mismatches += 1
-        elif status == "timeout":
-            report.timeouts += 1
-        else:
-            report.errors += 1
-        if data.get("degraded"):
-            report.degraded += 1
-        served_by = data.get("served_by")
-        if served_by is not None:
-            report.served_by[served_by] = report.served_by.get(served_by, 0) + 1
+    _count_responses(report, responses, workload.expected)
     return report

@@ -2,7 +2,9 @@
 
 import io
 import json
+import time
 
+from repro.serve import cli
 from repro.serve.cli import main
 from repro.serve.metrics import METRICS_SCHEMA
 
@@ -60,8 +62,7 @@ class TestAdaptLoad:
         rc = main([
             "load", "--adapt", "--requests", "160", "--unique", "4",
             "--drift-at", "80", "--warmup", "3",
-            "--drift-threshold", "0.1", "--min-samples", "8",
-            "--min-hot-swaps", "1", "--min-promotions", "1", "--json",
+            "--drift-threshold", "0.1", "--min-samples", "8", "--json",
         ])
         data = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -79,7 +80,7 @@ class TestAdaptLoad:
     def test_stationary_adaptive_load_promotes_without_swapping(self, capsys):
         rc = main([
             "load", "--adapt", "--requests", "24", "--unique", "2",
-            "--warmup", "2", "--min-promotions", "1", "--json",
+            "--warmup", "2", "--json",
         ])
         data = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -87,24 +88,37 @@ class TestAdaptLoad:
         assert data["adaptation"]["tier_promotions"] >= 1
         assert data["adaptation"]["hot_swaps"] == 0
 
-    def test_swap_gates_require_adapt(self, capsys):
-        rc = main([
-            "load", "--requests", "4", "--unique", "2", "--min-hot-swaps", "1",
-        ])
-        assert rc == 1
-        assert "require --adapt" in capsys.readouterr().err
-
     def test_metrics_dump_leaves_a_final_snapshot(self, tmp_path, capsys):
         path = tmp_path / "live-metrics.json"
         rc = main([
             "load", "--adapt", "--requests", "10", "--unique", "2",
-            "--metrics-dump", str(path), "--metrics-dump-every", "0.05",
+            "--metrics-out", str(path),
         ])
         assert rc == 0
         data = json.loads(path.read_text())
         assert data["schema"] == METRICS_SCHEMA
+        assert data["counters"]["requests"] == 10 + 2  # load + replay
         for counter in ("live_samples", "hot_swaps", "tier_promotions"):
             assert counter in data["counters"]
+
+
+class TestMetricsDumper:
+    def test_rewrites_the_snapshot_while_running(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "METRICS_EVERY_S", 0.01)
+        path = tmp_path / "metrics.json"
+        calls = []
+
+        def snapshot():
+            calls.append(None)
+            return {"calls": len(calls)}
+
+        with cli._MetricsDumper(str(path), snapshot):
+            deadline = time.monotonic() + 5.0
+            while not path.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert path.exists()  # written before the block exits
+        assert json.loads(path.read_text()) == {"calls": len(calls)}
+        assert not list(tmp_path.glob(".*.tmp"))
 
 
 class TestServeStdio:

@@ -115,21 +115,15 @@ class TestColdKeyRace:
         before = cluster.merged_metrics()["counters"]
         answers = race_cold_key(
             cluster.worker_ports(),
-            {
-                "source": loop_source,
-                "args": [2, 3, 5],
-                "variant": "mc-ssapre",
-                "train_args": [2, 3, 5],
-            },
+            CompileRequest(
+                source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
+                train_args=(2, 3, 5),
+            ),
         )
         after = cluster.merged_metrics()["counters"]
         assert len(answers) == 2
-        assert all(a["status"] == "ok" for a in answers)
-        observables = {
-            (a["return_value"], tuple(a["output"] or ()))
-            for a in answers
-        }
-        assert len(observables) == 1
+        assert all(a.status == "ok" for a in answers)
+        assert len({a.observable() for a in answers}) == 1
         assert after["compiles"] - before["compiles"] == 1
         assert after["lock_rehydrates"] - before["lock_rehydrates"] == 1
 
