@@ -50,29 +50,20 @@ def clone_benchmark(func, reps: int = 20) -> dict:
     }
 
 
-def passes_payload(solver: str = "mincut") -> list[dict]:
-    """The per-pass report of every variant on :data:`DEFAULT_BENCHMARK`.
-
-    ``solver`` picks the mc-ssapre speculation back end
-    ("mincut"/"lospre"/"auto"); which solver actually ran shows up in
-    the mc-ssapre stage's payload summary.
-    """
+def passes_payload() -> list[dict]:
+    """The per-pass report of every variant on :data:`DEFAULT_BENCHMARK`."""
     workload = load_workload(DEFAULT_BENCHMARK)
     prepared = prepare(workload.program.func)
     profile = run_function(prepared, workload.train_args).profile
-    mc = PipelineConfig("mc-ssapre", solver=solver)
     reports = [
-        compile_func(
-            prepared, mc if variant == "mc-ssapre" else variant, profile
-        ).report.to_dict()
+        compile_func(prepared, variant, profile).report.to_dict()
         for variant in VARIANTS
     ]
     # The iterative twin, so the record shows per-round stats (classes
     # processed, insertions, reloads, fixpoint).
     iterative = compile_func(
-        prepared, PipelineConfig(
-            "mc-ssapre", rounds=DEFAULT_ITERATIVE_ROUNDS, solver=solver
-        ), profile,
+        prepared, PipelineConfig("mc-ssapre", rounds=DEFAULT_ITERATIVE_ROUNDS),
+        profile,
     ).report
     iterative.variant = "mc-ssapre-iter"
     reports.append(iterative.to_dict())

@@ -30,7 +30,6 @@ from repro.check.corpus import (
     write_summary,
 )
 from repro.check.driver import (
-    DEFAULT_ENGINE,
     DEFAULT_INPUTS,
     SHAPES,
     failure_predicate,
@@ -39,7 +38,6 @@ from repro.check.driver import (
 from repro.check.oracles import DEFAULT_MAX_STEPS, ORACLE_NAMES
 from repro.check.reducer import reduce_function
 from repro.core.solvers.base import SOLVER_NAMES
-from repro.pipeline import ENGINES
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -79,11 +77,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes; seeds are sharded and the summary is "
         "identical to a single-process run modulo timing (default 1)",
-    )
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
-        help="execution back end for variant runs; the control always "
-        f"uses the reference interpreter (default {DEFAULT_ENGINE})",
     )
     parser.add_argument(
         "--solver", choices=SOLVER_NAMES, default="mincut",
@@ -151,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
         n_inputs=args.inputs,
         max_steps=args.max_steps,
         on_case=progress,
-        engine=args.engine,
         jobs=max(1, args.jobs),
         solver=args.solver,
     )
@@ -172,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                 predicate = failure_predicate(
                     result.seed, result.shape, failure,
                     n_inputs=args.inputs, max_steps=args.max_steps,
+                    solver=args.solver,
                 )
                 try:
                     reduction = reduce_function(
@@ -180,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
                 except ValueError:
                     reduction = None  # flaky failure; keep the original
             artifacts.append(str(write_failure_artifact(
-                args.out, result, failure, reduction
+                args.out, result, failure, reduction, solver=args.solver,
+                n_inputs=args.inputs, max_steps=args.max_steps,
             )))
 
     summary = {
@@ -189,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         "seed_base": args.seed_base,
         "shapes": list(shapes),
         "oracles": list(oracles),
-        "engine": args.engine,
         "jobs": max(1, args.jobs),
         "solver": args.solver,
         "passed": stats.failures == 0 and not stats.interrupted,

@@ -27,8 +27,13 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.check.driver import CaseResult, run_case
-from repro.check.oracles import OracleFailure, VariantFn
+from repro.check.driver import (
+    DEFAULT_INPUTS,
+    CaseResult,
+    failure_oracles,
+    run_case,
+)
+from repro.check.oracles import DEFAULT_MAX_STEPS, OracleFailure, VariantFn
 from repro.check.reducer import ReductionResult
 from repro.ir.printer import format_function
 
@@ -40,8 +45,11 @@ from repro.ir.printer import format_function
 #: differential twin (exact-compared by the optimality oracle).  v5
 #: added the ``probes`` differential oracle (minimum-coverage profiling
 #: reconstruction vs full counting) and the automatic flow-conservation
-#: validation of every fuzzed profile ("profile" failure bucket).
-SCHEMA_VERSION = 5
+#: validation of every fuzzed profile ("profile" failure bucket).  v6
+#: dropped ``engine`` from the run summary and added ``solver``,
+#: ``inputs`` and ``max_steps`` to every failure artifact, so replay and
+#: reduction run the case that failed.
+SCHEMA_VERSION = 6
 
 #: Default artifact directory, relative to the repository root.
 DEFAULT_OUT_DIR = Path("results") / "check"
@@ -83,8 +91,16 @@ def write_failure_artifact(
     result: CaseResult,
     failure: OracleFailure,
     reduction: ReductionResult | None = None,
+    *,
+    solver: str = "mincut",
+    n_inputs: int = DEFAULT_INPUTS,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Path:
-    """Persist one failure (and its reduction, if any); returns the .json."""
+    """Persist one failure (and its reduction, if any); returns the .json.
+
+    ``solver``, ``n_inputs`` and ``max_steps`` are the settings the case
+    ran under; the artifact records them so replay runs the same case.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     slug = failure_slug(result, failure)
@@ -96,6 +112,9 @@ def write_failure_artifact(
         "schema": SCHEMA_VERSION,
         "seed": result.seed,
         "shape": result.shape,
+        "solver": solver,
+        "inputs": n_inputs,
+        "max_steps": max_steps,
         "oracle": failure.oracle,
         "variant": failure.variant,
         "kind": failure.kind,
@@ -145,18 +164,20 @@ def replay_artifact(
 ) -> tuple[bool, CaseResult]:
     """Re-run a stored failure from its seed; True = it reproduced.
 
-    Failures of injected (out-of-tree) variants need the same
-    ``extra_variants`` mapping that produced them — the artifact stores
-    the variant *name*, not the code.
+    The case runs under the artifact's recorded solver, input count and
+    step budget.  Failures of injected (out-of-tree) variants need the
+    same ``extra_variants`` mapping that produced them — the artifact
+    stores the variant *name*, not the code.
     """
     record = json.loads(Path(path).read_text())
     oracle = record["oracle"]
-    # Compile failures surface during the build itself, before any oracle.
-    oracles = (oracle,) if oracle != "compile" else ()
     result = run_case(
         record["seed"],
         record["shape"],
-        oracles=oracles,
+        oracles=failure_oracles(oracle),
+        n_inputs=record["inputs"],
+        max_steps=record["max_steps"],
+        solver=record["solver"],
         extra_variants=extra_variants,
     )
     reproduced = any(

@@ -78,13 +78,6 @@ SOLVER_TWIN = "mc-ssapre-lospre"
 #: Inputs per case: index 0 trains the profile, the rest are ref-like.
 DEFAULT_INPUTS = 3
 
-#: Execution back end for the *variant* runs (one of
-#: :data:`repro.pipeline.ENGINES`).  The control always runs on the
-#: tree-walking reference interpreter (it is the semantics oracle), so
-#: fuzzing with the default "compiled" engine differentially tests the
-#: compiled back end on every case for free.
-DEFAULT_ENGINE = "compiled"
-
 
 def spec_for_shape(shape: str, seed: int) -> ProgramSpec:
     """The generator spec of one fuzz case.
@@ -228,7 +221,6 @@ def build_case(
     max_steps: int = DEFAULT_MAX_STEPS,
     variants: tuple[str, ...] = VARIANTS,
     extra_variants: dict[str, VariantFn] | None = None,
-    engine: str = DEFAULT_ENGINE,
     iterative: bool = True,
     solver: str = "mincut",
 ) -> CaseResult:
@@ -254,13 +246,14 @@ def build_case(
     built or run — that is a generator/interpreter budget problem, not an
     optimiser bug, so it is reported as a skip rather than a failure.
 
-    ``engine`` selects the execution back end for the variant runs; the
-    control always runs on the reference interpreter, so the default
-    "compiled" engine is differentially tested on every case.
+    Variant runs use the compiled engine; the control runs on the
+    reference interpreter (the semantics oracle), and the control and
+    the main mc-ssapre compile are re-run on the other engine, so the
+    compiled back end is differentially tested on every case.
     """
     from repro.pipeline import make_runner
 
-    execute = make_runner(engine)
+    execute = make_runner("compiled")
     result = CaseResult(seed=seed, shape=shape, case=None)
     spec = spec or spec_for_shape(shape, seed)
     try:
@@ -345,9 +338,7 @@ def build_case(
             )
 
     variant_runs: dict[str, list] = {}
-    other_engine = make_runner(
-        "reference" if engine == "compiled" else "compiled"
-    )
+    reference = make_runner("reference")
     for name, func in compiled.items():
         runs: list = []
         outcomes: list = []
@@ -370,7 +361,7 @@ def build_case(
         if name == "mc-ssapre":
             _check_engine_parity(
                 result, name, inputs, outcomes,
-                partial(other_engine, func, max_steps=max_steps, cache=cache),
+                partial(reference, func, max_steps=max_steps, cache=cache),
             )
         assert func.entry is not None
         for i, run in enumerate(runs):
@@ -464,10 +455,20 @@ def run_case(
     """``build_case`` + ``check_case`` in one deterministic call.
 
     This is the replay entry point: a stored failure is reproduced by
-    calling this with its recorded seed/shape (and, for injected-variant
-    findings, the same ``extra_variants``).
+    calling this with its recorded seed, shape, solver, input count and
+    step budget (and, for injected-variant findings, the same
+    ``extra_variants``).
     """
     return check_case(build_case(seed, shape, **build_kwargs), oracles)
+
+
+def failure_oracles(oracle: str) -> tuple[str, ...]:
+    """The oracle list that re-checks a failure found by *oracle*.
+
+    "compile" and "profile" findings are recorded by :func:`build_case`
+    itself, not by a named oracle, so their replay runs no oracle.
+    """
+    return () if oracle in ("compile", "profile") else (oracle,)
 
 
 def failure_predicate(
@@ -477,6 +478,7 @@ def failure_predicate(
     *,
     n_inputs: int = DEFAULT_INPUTS,
     max_steps: int = DEFAULT_MAX_STEPS,
+    solver: str = "mincut",
     extra_variants: dict[str, VariantFn] | None = None,
 ):
     """A reducer predicate: does this exact failure reproduce on a
@@ -485,14 +487,11 @@ def failure_predicate(
     "Exact" means the same ``(oracle, kind, variant)`` triple — the
     detail string legitimately changes as the program shrinks.  The
     candidate replaces the generated program but keeps the case's seed,
-    shape and therefore argument vectors, so a reduced artifact replays
-    through the very pipeline that caught the original.
+    shape and therefore argument vectors, and the run's ``n_inputs``,
+    ``max_steps`` and ``solver``, so a reduced artifact replays through
+    the very pipeline that caught the original.
     """
-    # "compile" and "profile" findings are recorded by build_case itself,
-    # not by a named oracle, so replay runs with no oracle list.
-    oracles = (
-        () if failure.oracle in ("compile", "profile") else (failure.oracle,)
-    )
+    oracles = failure_oracles(failure.oracle)
 
     def predicate(func: Function) -> bool:
         result = run_case(
@@ -502,6 +501,7 @@ def failure_predicate(
             source=func,
             n_inputs=n_inputs,
             max_steps=max_steps,
+            solver=solver,
             extra_variants=extra_variants,
         )
         return any(
@@ -602,7 +602,6 @@ def run_driver(
     max_steps: int = DEFAULT_MAX_STEPS,
     extra_variants: dict[str, VariantFn] | None = None,
     on_case=None,
-    engine: str = DEFAULT_ENGINE,
     jobs: int = 1,
     solver: str = "mincut",
 ) -> tuple[DriverStats, list[CaseResult]]:
@@ -634,7 +633,6 @@ def run_driver(
             max_steps=max_steps,
             extra_variants=extra_variants,
             on_case=on_case,
-            engine=engine,
             jobs=jobs,
             solver=solver,
         )
@@ -652,7 +650,6 @@ def run_driver(
                 n_inputs=n_inputs,
                 max_steps=max_steps,
                 extra_variants=extra_variants,
-                engine=engine,
                 solver=solver,
             )
             stats.record(result)
@@ -672,7 +669,6 @@ def _shard_worker(
     n_inputs: int,
     max_steps: int,
     extra_variants: dict[str, VariantFn] | None,
-    engine: str,
     solver: str,
 ) -> tuple[DriverStats, list[CaseResult]]:
     """One worker process: a sequential run over its seed shard."""
@@ -683,7 +679,6 @@ def _shard_worker(
         n_inputs=n_inputs,
         max_steps=max_steps,
         extra_variants=extra_variants,
-        engine=engine,
         jobs=1,
         solver=solver,
     )
@@ -698,7 +693,6 @@ def _run_driver_parallel(
     max_steps: int,
     extra_variants: dict[str, VariantFn] | None,
     on_case,
-    engine: str,
     jobs: int,
     solver: str,
 ) -> tuple[DriverStats, list[CaseResult]]:
@@ -712,7 +706,6 @@ def _run_driver_parallel(
         n_inputs=n_inputs,
         max_steps=max_steps,
         extra_variants=extra_variants,
-        engine=engine,
         solver=solver,
     )
     stats = DriverStats()

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.profiles.profile import ExecutionProfile
 
 #: The solver knob's accepted spellings, everywhere it is plumbed
-#: (PipelineConfig, pass stages, the check/bench/perf CLIs, serve).
+#: (PipelineConfig, pass stages, the check CLI).
 SOLVER_NAMES = ("mincut", "lospre", "auto")
 
 #: The knob's default: the paper's flow-network reduction.

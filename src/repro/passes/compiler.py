@@ -53,8 +53,8 @@ class PipelineConfig:
     """The one description of a compile.
 
     Frozen and hashable: two equal configs always build the same pipeline
-    spec, so ``(function structure, config, engine)`` identifies a
-    compiled artifact — the contract :mod:`repro.serve.keys` fingerprints
+    spec, so ``(function structure, config)`` identifies a compiled
+    artifact — the contract :mod:`repro.serve.keys` fingerprints
     with :meth:`canonical`.  ``validate`` is deliberately *not* part of
     the config: it toggles internal checking, never the produced code.
 
@@ -134,21 +134,6 @@ class PipelineConfig:
             spec += [CopyPropagationPass(), DCEPass()]
         spec.append(DestructSSAPass())
         return spec
-
-    def resolved(self, func: Function) -> "PipelineConfig":
-        """This config with ``solver="auto"`` resolved for *func*.
-
-        The shape classifier is deterministic from function structure, so
-        the resolution is stable — the serving layer keys artifacts by
-        the resolved config, making ``auto`` share cache entries with
-        whichever forced solver it picks.
-        """
-        if self.solver != "auto":
-            return self
-        from repro.core.solvers.shape import select_solver
-
-        name, _ = select_solver(func, "auto")
-        return dataclasses.replace(self, solver=name)
 
     def canonical(self) -> str:
         """A stable one-line rendering, suitable for hashing.

@@ -35,8 +35,9 @@ from repro.profiles.interp import (
 from repro.profiles.profile import ExecutionProfile
 
 #: Version of the BENCH.json layout.  docs/PERF.md documents the
-#: layout and what each version changed; v11 added the paper's sections.
-BENCH_SCHEMA_VERSION = 11
+#: layout and what each version changed; v11 added the paper's sections;
+#: v12 dropped the ``solver`` knob and the serving ``solver=auto`` pin.
+BENCH_SCHEMA_VERSION = 12
 
 #: Step budget for the measured runs (matches the pipeline default).
 MAX_STEPS = 5_000_000
@@ -120,9 +121,7 @@ def bench_execution(names: tuple[str, ...], repeat: int) -> dict:
 # Compile pipeline: per-stage wall time from the PassReport.
 # ----------------------------------------------------------------------
 
-def bench_compile(
-    names: tuple[str, ...], repeat: int, solver: str = "mincut"
-) -> dict:
+def bench_compile(names: tuple[str, ...], repeat: int) -> dict:
     per_stage: dict[str, dict[str, float]] = {}
     total_s = 0.0
     for name in names:
@@ -133,9 +132,7 @@ def bench_compile(
         ).profile
 
         def compile_once():
-            return compile_func(
-                prepared, PipelineConfig("mc-ssapre", solver=solver), profile
-            )
+            return compile_func(prepared, "mc-ssapre", profile)
 
         elapsed, compiled = _best_of(repeat, compile_once)
         total_s += elapsed
@@ -149,7 +146,6 @@ def bench_compile(
             stage["total_s"] += execution.wall_time
     return {
         "variant": "mc-ssapre",
-        "solver": solver,
         "functions": len(names),
         "total_s": round(total_s, 6),
         "per_stage": {
@@ -780,13 +776,8 @@ def bench_serving(
       exactly the hit rate its request mix admits, with zero mismatches
       against the reference interpreter;
     * **coalescing** — :data:`SERVING_COALESCE_CLIENTS` concurrent
-      identical requests must trigger exactly one compile;
-    * **solver=auto** — a cold request with ``solver="auto"`` must
-      serve successfully (the shape classifier resolves the lane before
-      the cache key is computed); its latency is pinned as
-      ``cold_auto_s``.
+      identical requests must trigger exactly one compile.
     """
-    import dataclasses
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.serve.loadgen import WorkloadSpec, build_workload, run_load
@@ -824,23 +815,6 @@ def bench_serving(
         for cold, warm in zip(cold_responses, warm_responses)
     ) and all(r.status == "ok" for r in cold_responses)
 
-    # Cold request latency under solver="auto": the classifier resolves
-    # the lane before keying, and the answer must match the forced
-    # default lane bit for bit (the solver exactness contract, observed
-    # from the serving layer).
-    auto_request = dataclasses.replace(pool[0], solver="auto")
-
-    def cold_auto():
-        with CompileService() as service:
-            return service.handle(auto_request)
-
-    cold_auto_s, auto_response = _best_of(repeat, cold_auto)
-    auto_ok = (
-        auto_response.status == "ok"
-        and auto_response.observable() == cold_responses[0].observable()
-        and auto_response.dynamic_cost == cold_responses[0].dynamic_cost
-    )
-
     with CompileService() as service:
         load_report, _responses = run_load(service, workload, jobs=1)
 
@@ -872,8 +846,6 @@ def bench_serving(
         "unique": unique,
         "cold_s": round(cold_s, 6),
         "warm_s": round(warm_s, 6),
-        "cold_auto_s": round(cold_auto_s, 6),
-        "auto_ok": auto_ok,
         "speedup": speedup,
         "min_speedup": SERVING_MIN_SPEEDUP,
         "equivalent": equivalent,
@@ -892,7 +864,6 @@ def bench_serving(
             and equivalent
             and hit_rate_ok
             and race_ok
-            and auto_ok
         ),
     }
 
@@ -1177,7 +1148,6 @@ def bench_adaptation() -> dict:
             state.prepared,
             state.config,
             key=binding.key,
-            engine=state.engine,
             profile=binding.profile,
         )
         swap_identical = fresh.key == binding.key and not fresh.degraded

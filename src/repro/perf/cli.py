@@ -22,7 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.solvers.base import SOLVER_NAMES
 from repro.perf.sections import (
     SECTION_NAMES,
     SECTIONS,
@@ -50,13 +49,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default 3, or 1 with --quick)",
     )
     parser.add_argument(
-        "--solver", choices=SOLVER_NAMES, default="mincut",
-        help="speculation solver of the compile and passes sections: the "
-        "exact min-cut back end, the linear-time lospre DP, or auto (shape "
-        "classifier picks per function); the solver-scaling section "
-        "always measures both (default mincut)",
-    )
-    parser.add_argument(
         "--only", action="append", choices=SECTION_NAMES, default=None,
         metavar="SECTION",
         help="run only this section (repeatable) and merge it into the "
@@ -73,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     payload = run_perf(
-        quick=args.quick, repeat=args.repeat, solver=args.solver,
+        quick=args.quick, repeat=args.repeat,
         sections=tuple(args.only) if args.only else None,
     )
     out = Path(args.out)

@@ -84,7 +84,7 @@ TABLE2_TITLE = "Table 2: CFP2006 dynamic costs and speedup ratios of MC-SSAPRE"
 C_SLACK = 1.03
 
 
-def tables(quick: bool, repeat: int, solver: str) -> dict:
+def tables(quick: bool, repeat: int) -> dict:
     cint, cfp = (QUICK_CINT, QUICK_CFP) if quick else (CINT2006, CFP2006)
     return tables_record(
         build_table(cint, TABLE1_TITLE, _jobs()),
@@ -163,7 +163,7 @@ def render_tables(record: dict) -> str:
 
 # Section 4: EFG vs MC-PRE flow networks -------------------------------
 
-def sec4(quick: bool, repeat: int, solver: str) -> dict:
+def sec4(quick: bool, repeat: int) -> dict:
     return sec4_record(_map(compare_workload, suite(quick, mcpre=True)))
 
 
@@ -203,7 +203,7 @@ def render_sec4(record: dict) -> str:
 
 # Ablations: lifetime, node-frequency sufficiency, code size -----------
 
-def ablations(quick: bool, repeat: int, solver: str) -> dict:
+def ablations(quick: bool, repeat: int) -> dict:
     names = suite(quick)
     pairs = _map(_lifetime_and_size, names)
     return ablations_record(
@@ -282,7 +282,7 @@ SEC33_SIZES = (3, 5, 8, 12)
 SEC33_MAX_UNIT_RATIO = 4.0
 
 
-def sec33(quick: bool, repeat: int, solver: str) -> dict:
+def sec33(quick: bool, repeat: int) -> dict:
     return sec33_record([sec33_point(size, repeat) for size in SEC33_SIZES])
 
 

@@ -1,13 +1,12 @@
 """The section registry behind ``python -m repro.perf``.
 
-A section is a name, a ``run(quick, repeat, solver)`` that returns its
+A section is a name, a ``run(quick, repeat)`` that returns its
 BENCH.json record, a ``render(record)`` that returns its text report
 (by default :func:`render_record`, which prints any record), and the
 record key that holds its correctness verdict (None for the two
 sections that only measure).  ``quick`` picks the section's small
 program set; ``repeat`` is how many times each timed measurement runs,
-the minimum reported; ``solver`` is the speculation back end the
-``compile`` and ``passes`` sections use.
+the minimum reported.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.perf.bench import (
 @dataclass(frozen=True)
 class Section:
     name: str
-    run: Callable[[bool, int, str], object]
+    run: Callable[[bool, int], object]
     #: The text report of a record; None renders it with render_record.
     render: Callable[[object], str] | None = None
     gate: str | None = "ok"
@@ -96,21 +95,19 @@ def render_record(name: str, record: dict) -> str:
 SECTIONS = (
     Section(
         "execution",
-        lambda quick, repeat, solver: bench_execution(
+        lambda quick, repeat: bench_execution(
             HEADS if quick else STANDARD, repeat
         ),
         gate="equivalent",
     ),
     Section(
         "compile",
-        lambda quick, repeat, solver: bench_compile(
-            HEADS if quick else STANDARD, repeat, solver=solver
-        ),
+        lambda quick, repeat: bench_compile(HEADS if quick else STANDARD, repeat),
         gate=None,
     ),
     Section(
         "memory",
-        lambda quick, repeat, solver: bench_memory(
+        lambda quick, repeat: bench_memory(
             MEMORY[:1] if quick else MEMORY, repeat
         ),
     ),
@@ -119,27 +116,24 @@ SECTIONS = (
     # redundancy lives.
     Section(
         "iterative",
-        lambda quick, repeat, solver: bench_iterative(
+        lambda quick, repeat: bench_iterative(
             HEADS[:1] + COMPOSITE[:1] if quick else HEADS + COMPOSITE, repeat
         ),
     ),
     # Kill-site counts of the scaling family (the CFG has ~3k+4 blocks).
     Section(
         "solver_scaling",
-        lambda quick, repeat, solver: bench_solver_scaling(
+        lambda quick, repeat: bench_solver_scaling(
             (64, 384) if quick else (64, 128, 256, 512), repeat
         ),
     ),
-    Section(
-        "serving",
-        lambda quick, repeat, solver: _serving(quick, repeat),
-    ),
+    Section("serving", _serving),
     # The head of each generated suite: the chord bound and derived-
     # profile parity are checked on integer, floating-point and
     # memory-shaped CFGs alike.
     Section(
         "profiling",
-        lambda quick, repeat, solver: bench_profiling(
+        lambda quick, repeat: bench_profiling(
             HEADS + MEMORY[:1] if quick else STANDARD + MEMORY, repeat
         ),
     ),
@@ -149,7 +143,7 @@ SECTIONS = (
     Section("sec33", paper.sec33),
     Section(
         "passes",
-        lambda quick, repeat, solver: passes_payload(solver),
+        lambda quick, repeat: passes_payload(),
         render_passes, gate=None,
     ),
 )
@@ -162,7 +156,6 @@ SECTION_NAMES = tuple(section.name for section in SECTIONS)
 def run_perf(
     quick: bool = False,
     repeat: int | None = None,
-    solver: str = "mincut",
     sections: tuple[str, ...] | None = None,
 ) -> dict:
     """Run the benchmark suite; returns the BENCH.json payload.
@@ -182,13 +175,12 @@ def run_perf(
     t0 = time.perf_counter()
     payload = {
         "schema": BENCH_SCHEMA_VERSION,
-        "solver": solver,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
     for section in SECTIONS:
         if section.name in chosen:
-            payload[section.name] = section.run(quick, repeat, solver)
+            payload[section.name] = section.run(quick, repeat)
     payload["section_runs"] = {
         name: {"quick": quick, "repeat": repeat}
         for name in SECTION_NAMES if name in payload

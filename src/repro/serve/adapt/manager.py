@@ -122,7 +122,7 @@ class _KeyState:
     """
 
     __slots__ = (
-        "skey", "prepared", "config", "engine", "max_steps",
+        "skey", "prepared", "config", "max_steps",
         "lock", "live", "hits", "binding", "previous", "building",
     )
 
@@ -131,14 +131,12 @@ class _KeyState:
         skey: str,
         prepared: Function,
         config: PipelineConfig,
-        engine: str,
         max_steps: int,
         max_weight: int,
     ) -> None:
         self.skey = skey
         self.prepared = prepared
         self.config = config
-        self.engine = engine
         self.max_steps = max_steps
         self.lock = threading.Lock()
         self.live = LiveProfile(max_weight=max_weight)
@@ -195,7 +193,6 @@ class AdaptationManager:
         skey: str,
         prepared: Function,
         config: PipelineConfig,
-        engine: str,
         max_steps: int,
     ) -> _KeyState:
         """The (created-on-first-sight) state of one structural key."""
@@ -203,7 +200,7 @@ class AdaptationManager:
             state = self._states.get(skey)
             if state is None:
                 state = _KeyState(
-                    skey, prepared, config, engine, max_steps,
+                    skey, prepared, config, max_steps,
                     max_weight=self.config.max_weight,
                 )
                 self._states[skey] = state
@@ -264,8 +261,8 @@ class AdaptationManager:
 
         The fold itself already happened inside the run when the
         artifact carries a compiled program (its ``profile_hook`` is
-        installed at bind time); degraded or reference-engine artifacts
-        have no hook, so fold here.
+        installed at bind time); an artifact without a lowered program has
+        no hook, so fold here.
         """
         if artifact.program is None or artifact.program.profile_hook is None:
             self._fold(state, result.profile.node_freq)
@@ -302,12 +299,7 @@ class AdaptationManager:
             # build profile, but run-weighted (each request one vote) so
             # later comparisons are not drowned out by long runs.
             baseline = state.live.mean_freq() if needs_profile else {}
-            key = artifact_key(
-                state.prepared,
-                state.config,
-                engine=state.engine,
-                profile=profile,
-            )
+            key = artifact_key(state.prepared, state.config, profile=profile)
             self.service.metrics.inc("recompiles")
             artifact = self.service.build_keyed(
                 key,
@@ -315,7 +307,6 @@ class AdaptationManager:
                     state.prepared,
                     state.config,
                     key=key,
-                    engine=state.engine,
                     profile=profile,
                     max_steps=state.max_steps,
                 ),

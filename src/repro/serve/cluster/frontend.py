@@ -189,9 +189,7 @@ class ClusterFrontend:
         try:
             request = CompileRequest.from_dict(plan)
             prepared = prepare(parse_function(request.source))
-            key = structural_key(
-                prepared, request.config(), engine=request.engine
-            )
+            key = structural_key(prepared, request.config())
         except Exception:  # noqa: BLE001 - malformed request, route on content
             key = "raw:" + hashlib.sha256(memo_key.encode()).hexdigest()
         self._route_memo[memo_key] = key

@@ -17,9 +17,11 @@ while any semantic difference does.
 
 Profiles are keyed either *extensionally* (hashing the sorted node/edge
 counts of an explicit :class:`~repro.profiles.profile.ExecutionProfile`)
-or *intensionally* (hashing the training argument vector plus the
-deterministic engine that will produce the profile) — the serving layer
-uses the intensional form so a request never has to ship a profile.
+or *intensionally* (hashing the training argument vector; the training
+run on the compiled engine is deterministic) — the serving layer uses
+the intensional form so a request never has to ship a profile.  A
+profile-free config is keyed ``unprofiled`` whatever profile or training
+input accompanies it: the compile never reads them.
 
 Keys are ``sha256`` hex digests over a versioned canonical payload;
 bump :data:`KEY_SCHEMA` whenever the payload layout changes so stale
@@ -46,7 +48,10 @@ from repro.profiles.profile import ExecutionProfile
 #:    are provably in-bounds — i.e. how aggressively the compile may
 #:    speculate — so two sources differing only in a declared length must
 #:    never share an artifact.
-KEY_SCHEMA = 3
+#: 4: the ``engine:`` section is gone (every artifact trains and runs on
+#:    the compiled engine), and profile-free configs key ``unprofiled``
+#:    even when a request carries ``train_args``.
+KEY_SCHEMA = 4
 
 __all__ = [
     "KEY_SCHEMA",
@@ -115,27 +120,17 @@ def artifact_key(
     func: Function,
     config: PipelineConfig,
     *,
-    engine: str = "compiled",
     train_args: Iterable[int] | None = None,
     profile: ExecutionProfile | None = None,
 ) -> str:
     """The content address of one compiled artifact.
 
-    ``engine`` is the execution back end whose training run produces the
-    profile (and whose lowered program the artifact carries) — the
-    "profile engine" of the serving layer.  Exactly one of ``train_args``
-    (intensional: the profile will be derived deterministically from the
-    function, the engine and these arguments) or ``profile``
-    (extensional: hash the counts themselves) must be provided for
-    profile-guided configs; profile-free configs may omit both.
-
-    ``solver="auto"`` is keyed by the solver it *resolves to* for this
-    function (the shape classifier is deterministic from function
-    structure), so an auto request shares its artifact with the forced
-    solver it would pick — and two configs that place code differently
-    can never collide on one key.
+    Exactly one of ``train_args`` (intensional: the profile will be
+    derived deterministically from the function and these arguments) or
+    ``profile`` (extensional: hash the counts themselves) must be
+    provided for profile-guided configs.  Profile-free configs may omit
+    both, and are keyed ``unprofiled`` whatever they pass.
     """
-    config = config.resolved(func)
     if profile is not None and train_args is not None:
         raise ValueError("pass either train_args or profile, not both")
     if profile is None and train_args is None and config.needs_profile:
@@ -143,42 +138,34 @@ def artifact_key(
             f"variant {config.variant!r} is profile-guided; the key needs "
             "train_args or an explicit profile"
         )
-    if profile is not None:
-        profile_part = f"profile:{profile_fingerprint(profile)}"
-    elif train_args is not None:
-        profile_part = "train:" + ",".join(str(a) for a in train_args)
-    else:
+    if not config.needs_profile:
         profile_part = "unprofiled"
+    elif profile is not None:
+        profile_part = f"profile:{profile_fingerprint(profile)}"
+    else:
+        profile_part = "train:" + ",".join(str(a) for a in train_args)
     return _digest((
         f"schema:{KEY_SCHEMA}",
         f"func:{function_fingerprint(func)}",
         f"config:{config.canonical()}",
-        f"engine:{engine}",
         profile_part,
     ))
 
 
-def structural_key(
-    func: Function,
-    config: PipelineConfig,
-    *,
-    engine: str = "compiled",
-) -> str:
+def structural_key(func: Function, config: PipelineConfig) -> str:
     """The profile-free identity of a served program.
 
     Everything :func:`artifact_key` hashes *except* the profile: function
-    structure, resolved config, engine.  All artifacts compiled for the
-    same program under different profiles share one structural key — this
-    is the level at which the adaptation tier (:mod:`repro.serve.adapt`)
+    structure and config.  All artifacts compiled for the same program
+    under different profiles share one structural key — this is the
+    level at which the adaptation tier (:mod:`repro.serve.adapt`)
     accumulates live profiles, detects drift and hot-swaps artifacts:
     the artifact *content* address changes with every fresh profile, the
     structural address never does.
     """
-    config = config.resolved(func)
     return _digest((
         f"schema:{KEY_SCHEMA}",
         f"func:{function_fingerprint(func)}",
         f"config:{config.canonical()}",
-        f"engine:{engine}",
         "structural",
     ))

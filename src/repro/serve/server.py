@@ -39,13 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.ir.function import Function
 from repro.lang.parser import parse_function
-from repro.pipeline import (
-    ENGINES,
-    PipelineConfig,
-    compile_variant,
-    make_runner,
-    prepare,
-)
+from repro.pipeline import PipelineConfig, compile_variant, make_runner, prepare
 from repro.profiles.compiled import compile_function
 from repro.profiles.interp import InterpreterError, RunResult, run_function
 from repro.profiles.profile import ExecutionProfile
@@ -79,11 +73,9 @@ __all__ = [
 _WIRE_TYPES = {
     "source": str,
     "variant": str,
-    "engine": str,
     "fold_constants": bool,
     "cleanup": bool,
     "rounds": int,
-    "solver": str,
     "max_steps": int,
 }
 
@@ -97,13 +89,9 @@ class CompileRequest:
     variant: str = "mc-ssapre"
     #: Training input for profile-guided variants; part of the cache key.
     train_args: tuple[int, ...] | None = None
-    engine: str = "compiled"
     fold_constants: bool = False
     cleanup: bool = False
     rounds: int = 1
-    #: Speculation solver for mc-ssapre requests ("mincut"/"lospre"/
-    #: "auto"); "auto" is cache-keyed by the solver it resolves to.
-    solver: str = "mincut"
     max_steps: int = DEFAULT_MAX_STEPS
 
     def config(self) -> PipelineConfig:
@@ -112,7 +100,6 @@ class CompileRequest:
             fold_constants=self.fold_constants,
             cleanup=self.cleanup,
             rounds=self.rounds,
-            solver=self.solver,
         )
 
     @classmethod
@@ -204,7 +191,6 @@ def build_artifact(
     config: PipelineConfig,
     *,
     key: str,
-    engine: str = "compiled",
     train_args: tuple[int, ...] | None = None,
     profile: ExecutionProfile | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -215,14 +201,12 @@ def build_artifact(
     server and the ``cache`` consistency oracle share it, so whatever a
     warm hit returns is byte-comparable against a fresh call of this.
     Profile-guided configs take either ``train_args`` (intensional: a
-    training run on *engine* produces the profile) or an explicit
+    training run on the compiled engine produces the profile) or an explicit
     ``profile`` (extensional — the adaptation tier passes its live
     snapshot here).  Compile failures degrade to the prepared function on
     the reference interpreter rather than raising: a served answer must
     exist for every well-formed program.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if profile is not None and train_args is not None:
         raise ValueError("pass either train_args or profile, not both")
     train_profile = profile if config.needs_profile else None
@@ -232,7 +216,7 @@ def build_artifact(
                 f"variant {config.variant!r} is profile-guided and needs "
                 "train_args or an explicit profile"
             )
-        runner = make_runner(engine)
+        runner = make_runner("compiled")
         train_profile = runner(prepared, list(train_args), max_steps).profile
     train_node_freq = (
         dict(train_profile.node_freq) if train_profile is not None else None
@@ -243,7 +227,6 @@ def build_artifact(
         return Artifact(
             key=key,
             variant=config.variant,
-            engine=engine,
             func=prepared,
             program=None,
             report=None,
@@ -251,14 +234,11 @@ def build_artifact(
             degraded_reason=f"{type(exc).__name__}: {exc}",
             train_node_freq=train_node_freq,
         )
-    program = None
-    if engine == "compiled":
-        program = compile_function(compiled.func)
+    program = compile_function(compiled.func)
     report = compiled.report.to_dict() if compiled.report is not None else None
     return Artifact(
         key=key,
         variant=config.variant,
-        engine=engine,
         func=compiled.func,
         program=program,
         report=report,
@@ -331,8 +311,8 @@ class CompileService:
                 lock_dir,
                 on_break=lambda _path: self.metrics.inc("lock_breaks"),
             )
-        #: Bounded plan cache: (source, config, engine, train_args) ->
-        #: (prepared function, resolved config, key), LRU-evicted past
+        #: Bounded plan cache: (source, config, train_args) ->
+        #: (prepared function, config, key), LRU-evicted past
         #: :data:`PLAN_CACHE_SIZE`.  Safe to share across requests
         #: because the pipeline never mutates its input function
         #: (repro.pipeline docstring).
@@ -444,7 +424,7 @@ class CompileService:
         """Serve one request through the tiered adaptation loop.
 
         Identity is the *structural* key *skey* (profile excluded): all
-        traffic for one (program, config, engine) shares a live profile
+        traffic for one (program, config) shares a live profile
         and one hot-swappable artifact binding.  An unbound key serves on
         the reference interpreter over the prepared function (tier 0,
         profiling for free); a bound key serves the pinned artifact.
@@ -452,9 +432,7 @@ class CompileService:
         object, so a request racing a hot swap sees the old artifact or
         the new one — never a mixture — and never blocks on the swap.
         """
-        state = self.adapt.state_for(
-            skey, prepared, config, request.engine, request.max_steps
-        )
+        state = self.adapt.state_for(skey, prepared, config, request.max_steps)
         binding = state.binding  # atomic snapshot; may hot-swap underneath
         t_exec = time.perf_counter()
         if binding is None:
@@ -515,19 +493,21 @@ class CompileService:
         """Parse, prepare and key one request, memoised per plan.
 
         The plan is everything about a request that does not depend on
-        its input vector: the prepared function, the solver-resolved
-        config and the key — the artifact key, or the structural key
-        when the adaptation tier is on.  On a warm service the plan is
-        about half of an uncached request: in a traced perfbench
-        serve-warm pass (five CFP programs, every key in memory, seed 0)
-        parse took 0.020 s, prepare 0.033 s and the artifact key
-        0.011 s, against 0.063 s for executing the artifacts.  Plans are
-        cached by ``(source, config, engine, train_args)``; the config
-        is the frozen :class:`PipelineConfig` itself, so every field of
-        it is plan identity by construction.
+        its input vector: the prepared function, the config and the key
+        — the artifact key, or the structural key when the adaptation
+        tier is on.  On a warm service the plan is about half of an
+        uncached request: in a traced perfbench serve-warm pass (five
+        CFP programs, every key in memory, seed 0) parse took 0.020 s,
+        prepare 0.033 s and the artifact key 0.011 s, against 0.063 s
+        for executing the artifacts.  Plans are cached by ``(source,
+        config, train_args)``; the config is the frozen
+        :class:`PipelineConfig` itself, so every field of it is plan
+        identity by construction.  A profile-free config never reads
+        ``train_args``, so it plans (and keys) without them.
         """
-        config = request.config()  # validates variant/rounds/solver
-        plan_key = (request.source, config, request.engine, request.train_args)
+        config = request.config()  # validates variant/rounds
+        train_args = request.train_args if config.needs_profile else None
+        plan_key = (request.source, config, train_args)
         with self._plans_lock:
             plan = self._plans.get(plan_key)
             if plan is not None:
@@ -536,19 +516,10 @@ class CompileService:
             self.metrics.inc("plan_hits")
             return plan
         prepared = prepare(parse_function(request.source))
-        # Resolve solver="auto" against the prepared function once: the
-        # key, the build and the artifact's report all see the concrete
-        # solver the classifier picked.
-        config = config.resolved(prepared)
         if self.adapt is not None:
-            key = structural_key(prepared, config, engine=request.engine)
+            key = structural_key(prepared, config)
         else:
-            key = artifact_key(
-                prepared,
-                config,
-                engine=request.engine,
-                train_args=request.train_args,
-            )
+            key = artifact_key(prepared, config, train_args=train_args)
         plan = (prepared, config, key)
         with self._plans_lock:
             self._plans[plan_key] = plan
@@ -590,7 +561,6 @@ class CompileService:
                 prepared,
                 config,
                 key=key,
-                engine=request.engine,
                 train_args=request.train_args,
                 max_steps=request.max_steps,
             )

@@ -58,7 +58,9 @@ from repro.profiles.compiled import CompiledProgram
 #:    the pickle with a header and a digest (see :class:`DiskStore`).
 #: 6: ``profiling`` is gone and every program counts chords (a schema-5
 #:    entry lowered in the retired sparse mode has no ``_derive``).
-ARTIFACT_SCHEMA = 6
+#: 7: ``engine`` is gone: every artifact trains on and lowers for the
+#:    compiled engine.
+ARTIFACT_SCHEMA = 7
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -75,7 +77,6 @@ class Artifact:
 
     key: str
     variant: str
-    engine: str
     #: The optimised (non-SSA) function, ready for the reference engine.
     func: Function
     #: The lowered program for the compiled engine; ``None`` when the

@@ -15,15 +15,17 @@ They model real optimiser bug classes:
   optimisation at all, so the optimality oracle must notice the counts
   no longer match MC-PRE;
 * :func:`crashing_variant` / :func:`dangling_jump_variant` — compile-time
-  crash and verifier-reject classification fodder.
+  crash and verifier-reject classification fodder;
+* :func:`diverge_on` — a variant that returns a wrong value on one
+  argument vector only, so a failure shows only on the run's own inputs.
 """
 
 from __future__ import annotations
 
 from repro.ir.function import Function
-from repro.ir.instructions import Assign, BinOp, Jump
+from repro.ir.instructions import Assign, BinOp, Jump, Return
 from repro.ir.ops import is_trapping
-from repro.ir.values import Var
+from repro.ir.values import Const, Var
 
 
 def _entry_defined(func: Function) -> set[str]:
@@ -116,3 +118,24 @@ def dangling_jump_variant(func: Function, profile) -> Function:
     func.entry_block.terminator = Jump("no-such-block")
     func.mark_cfg_mutated()
     return func
+
+
+def diverge_on(args: list[int]):
+    """A variant that adds 1 to every returned value when the first
+    parameter equals ``args[0]``: wrong on that input only."""
+
+    def variant(func: Function, profile) -> Function:
+        for block in func.blocks.values():
+            ret = block.terminator
+            if isinstance(ret, Return) and ret.value is not None:
+                hit = func.fresh_temp("%hit")
+                value = func.fresh_temp("%ret")
+                block.body.append(
+                    Assign(hit, BinOp("eq", func.params[0], Const(args[0])))
+                )
+                block.body.append(Assign(value, BinOp("add", ret.value, hit)))
+                block.terminator = Return(value)
+        func.mark_code_mutated()
+        return func
+
+    return variant

@@ -5,6 +5,9 @@ from pathlib import Path
 
 from repro.check.cli import main
 from repro.check.corpus import SCHEMA_VERSION
+from repro.check.oracles import DEFAULT_MAX_STEPS
+
+from tests.check.conftest import diverge_on
 
 import pytest
 
@@ -12,11 +15,13 @@ import pytest
 #: SCHEMA_VERSION bump; removals/renames are breaking.  v2 added
 #: "engine" and "jobs"; v3 added "interrupted" and the "cache" oracle;
 #: v4 added "solver" and the always-on mc-ssapre-lospre twin; v5 added
-#: the "probes" oracle and flow-conservation profile validation.
+#: the "probes" oracle and flow-conservation profile validation; v6
+#: dropped "engine" (and gave failure artifacts "solver", "inputs" and
+#: "max_steps").
 SUMMARY_KEYS = {
-    "schema", "seeds", "seed_base", "shapes", "oracles", "engine", "jobs",
-    "solver", "passed", "artifacts", "cases", "skipped", "failures",
-    "per_oracle", "by_kind", "wall_time_s", "interrupted",
+    "schema", "seeds", "seed_base", "shapes", "oracles", "jobs", "solver",
+    "passed", "artifacts", "cases", "skipped", "failures", "per_oracle",
+    "by_kind", "wall_time_s", "interrupted",
 }
 
 
@@ -121,40 +126,98 @@ class TestOptions:
         assert "--solver" in capsys.readouterr().err
 
 
+def _fabricated_artifact(tmp_path, **fields) -> Path:
+    """An artifact claiming a failure that main cannot reproduce."""
+    artifact = tmp_path / "seed0_cint_equiv_divergence_lcm.json"
+    artifact.write_text(json.dumps({
+        "schema": SCHEMA_VERSION,
+        "seed": 0,
+        "shape": "cint",
+        "solver": "mincut",
+        "inputs": 3,
+        "max_steps": DEFAULT_MAX_STEPS,
+        "oracle": "equiv",
+        "variant": "lcm",
+        "kind": "divergence",
+        "detail": "fabricated",
+        **fields,
+    }))
+    return artifact
+
+
 class TestReplay:
     def test_non_reproducing_artifact_exits_nonzero(self, tmp_path, capsys):
-        # A fabricated artifact claiming a failure that main cannot
-        # reproduce: replay must say so and exit 1.
-        artifact = tmp_path / "seed0_cint_equiv_divergence_lcm.json"
-        artifact.write_text(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "seed": 0,
-            "shape": "cint",
-            "oracle": "equiv",
-            "variant": "lcm",
-            "kind": "divergence",
-            "detail": "fabricated",
-        }))
+        # Replay must say so and exit 1.
+        artifact = _fabricated_artifact(tmp_path)
         rc = main(["--replay", str(artifact)])
         assert rc == 1
         assert "DID NOT reproduce" in capsys.readouterr().out
 
     def test_replay_json_mode(self, tmp_path, capsys):
-        artifact = tmp_path / "seed0_cint_equiv_divergence_lcm.json"
-        artifact.write_text(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "seed": 0,
-            "shape": "cint",
-            "oracle": "equiv",
-            "variant": "lcm",
-            "kind": "divergence",
-            "detail": "fabricated",
-        }))
+        artifact = _fabricated_artifact(tmp_path)
         rc = main(["--replay", str(artifact), "--json"])
         data = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert data["reproduced"] is False
         assert Path(data["artifact"]) == artifact
+
+    def test_profile_failure_replays_without_oracles(self, tmp_path):
+        # "profile" findings come from the build itself, as in the
+        # reducer's predicate: replay must not ask for a "profile" oracle.
+        from repro.check.corpus import replay_artifact
+
+        artifact = _fabricated_artifact(
+            tmp_path, oracle="profile", variant="control",
+            kind="flow-violation",
+        )
+        reproduced, result = replay_artifact(artifact)
+        assert reproduced is False
+        assert result.reports == []
+
+    def test_artifact_replays_the_run_settings(self, tmp_path, monkeypatch):
+        # A variant wrong on input #4 only fails under --inputs 5: the
+        # artifact must record the input count (and the solver and step
+        # budget), and replay must run the case under them.
+        import functools
+
+        import repro.check.cli as cli
+        import repro.check.corpus as corpus
+        from repro.check.driver import case_inputs, run_driver, spec_for_shape
+
+        late = diverge_on(case_inputs(spec_for_shape("cint", 0), 5)[4])
+        monkeypatch.setattr(cli, "run_driver", functools.partial(
+            run_driver, extra_variants={"late": late}
+        ))
+        out = tmp_path / "check"
+        rc = main([
+            "--seeds", "1", "--shape", "cint", "--oracle", "equiv",
+            "--inputs", "5", "--solver", "lospre", "--max-steps", "900000",
+            "--no-reduce", "--json", "--out", str(out),
+        ])
+        data = json.loads((out / "summary.json").read_text())
+        assert rc == 1
+        assert data["failures"] == 1
+        (path,) = data["artifacts"]
+        record = json.loads(Path(path).read_text())
+        assert "input #4" in record["detail"]
+        assert (record["solver"], record["inputs"], record["max_steps"]) == (
+            "lospre", 5, 900000,
+        )
+        seen = []
+
+        def run_case(*args, **kwargs):
+            seen.append(kwargs)
+            return corpus_run_case(*args, **kwargs)
+
+        corpus_run_case = corpus.run_case
+        monkeypatch.setattr(corpus, "run_case", run_case)
+        reproduced, _ = corpus.replay_artifact(
+            path, extra_variants={"late": late}
+        )
+        assert reproduced
+        (kwargs,) = seen
+        assert kwargs["solver"] == "lospre"
+        assert kwargs["n_inputs"] == 5 and kwargs["max_steps"] == 900000
 
 
 class TestReduction:

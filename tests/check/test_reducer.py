@@ -98,6 +98,30 @@ class TestEndToEnd:
         assert failure_slug(result, failure) in ir_path.name
 
 
+def test_predicate_runs_the_case_settings(monkeypatch):
+    # Reduction re-runs the case as it failed: under the run's solver,
+    # input count and step budget, with the failing oracle only.
+    import repro.check.driver as driver
+    from repro.check.oracles import OracleFailure
+
+    seen = []
+
+    def run_case(seed, shape, **kwargs):
+        seen.append(kwargs)
+        return driver.CaseResult(seed=seed, shape=shape, case=None)
+
+    monkeypatch.setattr(driver, "run_case", run_case)
+    failure = OracleFailure("optimal", "mc-ssapre", "suboptimal", "")
+    predicate = failure_predicate(
+        0, "cint", failure, n_inputs=5, max_steps=900, solver="lospre"
+    )
+    assert not predicate(None)
+    (kwargs,) = seen
+    assert kwargs["oracles"] == ("optimal",)
+    assert kwargs["solver"] == "lospre"
+    assert kwargs["n_inputs"] == 5 and kwargs["max_steps"] == 900
+
+
 class TestReducerProperties:
     def _diamond(self):
         b = FunctionBuilder("d", params=["a", "b"])

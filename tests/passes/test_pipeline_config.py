@@ -1,4 +1,4 @@
-"""PipelineConfig: validation, auto-resolution, canonical-by-construction.
+"""PipelineConfig: validation and canonical-by-construction.
 
 ``canonical()`` is the serving layer's cache-key contract: every
 dataclass field participates unless explicitly excluded, and a field
@@ -10,10 +10,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.pipeline import PipelineConfig, prepare
-
-from tests.conftest import build_diamond
-from tests.core.test_shape import build_grid
+from repro.pipeline import PipelineConfig
 
 
 class TestValidation:
@@ -53,24 +50,6 @@ class TestValidation:
         config = PipelineConfig(variant="mc-ssapre", solver="lospre")
         pre = [s for s in config.stages() if s.name == "mc-ssapre"][0]
         assert pre.solver == "lospre"
-
-
-class TestResolved:
-    def test_forced_solvers_resolve_to_themselves(self):
-        func = prepare(build_diamond())
-        for solver in ("mincut", "lospre"):
-            config = PipelineConfig(variant="mc-ssapre", solver=solver)
-            assert config.resolved(func) is config
-
-    def test_auto_resolves_by_shape(self):
-        config = PipelineConfig(variant="mc-ssapre", solver="auto")
-        assert config.resolved(prepare(build_diamond())).solver == "lospre"
-        assert config.resolved(build_grid(10)).solver == "mincut"
-
-    def test_resolution_is_stable(self):
-        func = prepare(build_diamond())
-        config = PipelineConfig(variant="mc-ssapre", solver="auto")
-        assert config.resolved(func) == config.resolved(func)
 
 
 class TestCanonical:

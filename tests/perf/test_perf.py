@@ -5,7 +5,6 @@ from pathlib import Path
 
 from repro.perf.bench import (
     BENCH_SCHEMA_VERSION,
-    bench_compile,
     runresult_mismatches,
     solver_scaling_text,
 )
@@ -27,7 +26,8 @@ import pytest
 #: study) and the ``--only`` section filter; v9 replaced the top-level
 #: "quick"/"repeat" with per-section "section_runs"; v10 retargeted
 #: "profiling" at chord counting; v11 added the paper's sections
-#: (tests/perf/test_paper.py).
+#: (tests/perf/test_paper.py); v12 dropped the "solver" knob (top level
+#: and compile section) and the serving solver=auto pin.
 #: The sections the CLI fixture runs; the paper's sections are tested on
 #: smaller program sets in test_paper.py.
 ENGINE_SECTIONS = (
@@ -35,7 +35,7 @@ ENGINE_SECTIONS = (
     "serving", "profiling",
 )
 BENCH_KEYS = {
-    "schema", "solver", "python", "platform", *ENGINE_SECTIONS,
+    "schema", "python", "platform", *ENGINE_SECTIONS,
     "section_runs", "ok", "wall_time_s",
 }
 PROFILING_KEYS = {
@@ -65,10 +65,9 @@ SPECULATION_PIN_KEYS = {
     "safe_loads", "mc_loads", "observables_match", "ok",
 }
 SERVING_KEYS = {
-    "requests", "unique", "cold_s", "warm_s", "cold_auto_s", "auto_ok",
-    "speedup", "min_speedup", "equivalent", "hit_rate",
-    "expected_hit_rate", "mismatches", "load_rps", "coalescing",
-    "adaptation", "cluster", "ok",
+    "requests", "unique", "cold_s", "warm_s", "speedup", "min_speedup",
+    "equivalent", "hit_rate", "expected_hit_rate", "mismatches",
+    "load_rps", "coalescing", "adaptation", "cluster", "ok",
 }
 CLUSTER_KEYS = {
     "workers", "cores", "requests", "unique", "single_rps", "offered_rps",
@@ -132,6 +131,9 @@ class TestCli:
 
     def test_compile_section_names_pipeline_stages(self, bench):
         _, data = bench
+        assert set(data["compile"]) == {
+            "variant", "functions", "total_s", "per_stage",
+        }
         stages = data["compile"]["per_stage"]
         assert "mc-ssapre" in stages
         for stage in stages.values():
@@ -234,9 +236,6 @@ class TestCli:
         assert coalescing["ok"] is True
         assert coalescing["compiles"] == 1
         assert coalescing["clients"] > 1
-        # The solver=auto cold-request pin (schema v4).
-        assert serving["auto_ok"] is True
-        assert serving["cold_auto_s"] > 0
         # The adaptation block (schema v5): interpreter warmup must
         # promote, the stalled drift recompile must block no requests,
         # and the hot-swapped artifact must be bit-identical to a
@@ -347,10 +346,13 @@ class TestCli:
         assert printed == json.loads(out.read_text())
 
     def test_solver_flag_rejects_unknown_value(self, capsys):
+        # The flag is gone (every section compiles with the min cut;
+        # solver_scaling times both solvers itself): any value is an
+        # unrecognised argument.
         with pytest.raises(SystemExit) as excinfo:
             main(["--quick", "--solver", "bogus"])
         assert excinfo.value.code == 2
-        assert "--solver" in capsys.readouterr().err
+        assert "unrecognized arguments: --solver" in capsys.readouterr().err
 
 
 class TestCommittedRecord:
@@ -365,18 +367,6 @@ class TestCommittedRecord:
         for name in SECTION_NAMES:
             assert name in record
             assert record["section_runs"][name]["quick"] is False, name
-
-
-class TestSolverKnob:
-    """``--solver`` plumbing: every accepted value drives the compile
-    section (satellite of the pluggable-solver issue)."""
-
-    @pytest.mark.parametrize("solver", ["mincut", "lospre", "auto"])
-    def test_bench_compile_accepts_each_solver(self, solver):
-        payload = bench_compile(("bwaves",), repeat=1, solver=solver)
-        assert payload["solver"] == solver
-        assert payload["total_s"] > 0
-        assert "mc-ssapre" in payload["per_stage"]
 
 
 class TestHelpers:

@@ -22,12 +22,12 @@ def loop_source() -> str:
     return format_function(build_while_loop())
 
 
-def make_artifact(func, variant: str = "ssapre", engine: str = "compiled"):
+def make_artifact(func, variant: str = "ssapre"):
     """A real artifact for one of the conftest functions (no profile)."""
     prepared = prepare(func)
     config = PipelineConfig(variant=variant)
-    key = artifact_key(prepared, config, engine=engine)
-    return key, build_artifact(prepared, config, key=key, engine=engine)
+    key = artifact_key(prepared, config)
+    return key, build_artifact(prepared, config, key=key)
 
 
 @pytest.fixture

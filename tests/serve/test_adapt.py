@@ -178,12 +178,9 @@ class TestStructuralKey:
         assert key_a != key_b
         assert skey not in (key_a, key_b)
 
-    def test_engine_and_config_move_the_structural_key(self):
+    def test_config_moves_the_structural_key(self):
         prepared = prepare(build_while_loop())
         config = PipelineConfig(variant="mc-ssapre")
-        assert structural_key(prepared, config) != structural_key(
-            prepared, config, engine="reference"
-        )
         assert structural_key(prepared, config) != structural_key(
             prepared, PipelineConfig(variant="ssapre")
         )
@@ -220,13 +217,13 @@ class TestTieredServing:
         gate = threading.Event()
         calls = []
 
-        def gated_build(prepared, config, *, key, engine="compiled",
-                        train_args=None, profile=None, max_steps=2_000_000):
+        def gated_build(prepared, config, *, key, train_args=None,
+                        profile=None, max_steps=2_000_000):
             calls.append(key)
             assert gate.wait(timeout=30.0), "test never released the build"
             return build_artifact(
-                prepared, config, key=key, engine=engine,
-                train_args=train_args, profile=profile, max_steps=max_steps,
+                prepared, config, key=key, train_args=train_args,
+                profile=profile, max_steps=max_steps,
             )
 
         service = CompileService(
@@ -322,7 +319,7 @@ class TestDriftRecompile:
             # same content address, bit-identical answers.
             fresh = build_artifact(
                 state.prepared, state.config, key=binding.key,
-                engine=state.engine, profile=binding.profile,
+                profile=binding.profile,
             )
             assert not fresh.degraded
             assert fresh.key == binding.key
@@ -372,13 +369,9 @@ class TestHotSwapAtomicity:
                 profiles.append(result.profile)
             alternates = []
             for profile in profiles:
-                key = artifact_key(
-                    state.prepared, state.config,
-                    engine=state.engine, profile=profile,
-                )
+                key = artifact_key(state.prepared, state.config, profile=profile)
                 alternates.append((key, build_artifact(
-                    state.prepared, state.config, key=key,
-                    engine=state.engine, profile=profile,
+                    state.prepared, state.config, key=key, profile=profile,
                 ), profile))
             valid_keys = {key for key, _, _ in alternates}
             expected = run_function(

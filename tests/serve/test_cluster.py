@@ -83,9 +83,7 @@ class TestEndToEnd:
         assert sorted(moved.values()) == [0, 3]
         # ...and that owner is the one the ring names.
         prepared = prepare(parse_function(diamond_text))
-        key = structural_key(
-            prepared, PipelineConfig(variant="ssapre"), engine="compiled"
-        )
+        key = structural_key(prepared, PipelineConfig(variant="ssapre"))
         owner = cluster.frontend.ring.route(key)
         assert moved[owner] == 3
 

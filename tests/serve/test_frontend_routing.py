@@ -11,15 +11,12 @@ up.  :class:`WorkerHandle` spawns nothing until started, so a
 import pytest
 
 from repro.ir.printer import format_function
-from repro.lang.parser import parse_function
-from repro.pipeline import PipelineConfig, prepare
 from repro.serve.adapt import AdaptConfig
 from repro.serve.cluster.frontend import ClusterFrontend
 from repro.serve.cluster.worker import WorkerHandle
 from repro.serve.server import CompileRequest, CompileService
 
 from tests.conftest import build_diamond, build_while_loop
-from tests.core.test_shape import build_grid
 
 
 def _frontend(tmp_path, workers=3) -> ClusterFrontend:
@@ -52,9 +49,9 @@ NON_DEFAULT = (
     {"variant": "ssapre", "rounds": 3},
     {"variant": "ssapre-sp", "cleanup": True},
     {"variant": "ssapre", "fold_constants": True, "cleanup": True},
-    {"variant": "mc-ssapre", "solver": "lospre", "rounds": 2},
-    {"variant": "mc-ssapre", "fold_constants": True, "solver": "mincut"},
-    {"variant": "lcm", "engine": "reference"},
+    {"variant": "mc-ssapre", "rounds": 2},
+    {"variant": "mc-ssapre", "fold_constants": True},
+    {"variant": "lcm"},
 )
 
 
@@ -97,30 +94,6 @@ class TestStructuralRouting:
         good = frontend._route_key({"source": source, "args": [2, 3, 4]})
         assert bad == good and not good.startswith("raw:")
 
-    @pytest.mark.parametrize(
-        "func", [build_diamond(), build_grid(8)], ids=["diamond", "grid"]
-    )
-    def test_auto_routes_with_the_solver_it_resolves_to(self, tmp_path, func):
-        frontend = _frontend(tmp_path)
-        source = format_function(func)
-        resolved = PipelineConfig(solver="auto").resolved(
-            prepare(parse_function(source))
-        ).solver
-        assert resolved != "auto"
-        auto = frontend._route_key({"source": source, "solver": "auto"})
-        forced = frontend._route_key({"source": source, "solver": resolved})
-        assert auto == forced
-        assert frontend.ring.route(auto) == frontend.ring.route(forced)
-
-    def test_auto_resolves_to_each_solver_somewhere(self):
-        resolved = {
-            PipelineConfig(solver="auto").resolved(
-                prepare(parse_function(format_function(func)))
-            ).solver
-            for func in (build_diamond(), build_grid(8))
-        }
-        assert resolved == {"mincut", "lospre"}
-
 
 class TestMalformedRouting:
     MALFORMED = (
@@ -148,8 +121,14 @@ class TestMalformedRouting:
             {"variant": "lcm", "rounds": 2},
             {"variant": "ssapre", "solver": "lospre"},
             {"solver": "simplex"},
+            # No longer request fields: the worker rejects them, so the
+            # front end must route them raw, and alike on every front end.
+            {"solver": "mincut"},
+            {"engine": "compiled"},
         ):
             data = {"source": diamond_text, **fields}
             with pytest.raises(ValueError):
                 CompileRequest.from_dict(data).config()
-            assert frontend._route_key(data).startswith("raw:")
+            route = frontend._route_key(data)
+            assert route.startswith("raw:")
+            assert route == _frontend(tmp_path)._route_key(data)

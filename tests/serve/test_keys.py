@@ -107,14 +107,19 @@ class TestArtifactKey:
         assert base != artifact_key(
             self.prepared, PipelineConfig(variant="ssapre", rounds=3)
         )
-        assert base != artifact_key(
-            self.prepared, PipelineConfig(variant="ssapre"),
-            engine="reference",
-        )
-        assert base != artifact_key(
-            self.prepared, PipelineConfig(variant="ssapre"),
-            train_args=(1, 2, 3),
-        )
+        profiled = PipelineConfig(variant="mc-ssapre")
+        assert artifact_key(
+            self.prepared, profiled, train_args=(1, 2, 3)
+        ) != artifact_key(self.prepared, profiled, train_args=(1, 2, 4))
+
+    def test_profile_free_keys_ignore_the_profile(self):
+        # ssapre never reads a profile: training inputs or counts that
+        # ride along with it must not mint a second key.
+        config = PipelineConfig(variant="ssapre")
+        base = artifact_key(self.prepared, config)
+        profile = run_function(self.prepared, [1, 2, 1]).profile
+        assert artifact_key(self.prepared, config, train_args=(1, 2, 3)) == base
+        assert artifact_key(self.prepared, config, profile=profile) == base
 
     def test_train_args_key_is_intensional(self):
         config = PipelineConfig(variant="mc-ssapre")
@@ -158,16 +163,10 @@ class TestSolverKeying:
     def test_solvers_key_distinct_artifacts(self):
         assert self._key("mincut") != self._key("lospre")
 
-    def test_auto_shares_the_resolved_solver_key(self):
-        # The diamond's CFG is accepted by the shape classifier, so
-        # auto resolves to lospre — and must share its cache entry,
-        # not mint a third key.
-        assert self._key("auto") == self._key("lospre")
-        assert self._key("auto") != self._key("mincut")
-
     def test_key_schema_pins_the_layout(self):
         # v2 made keys solver-aware; v3 folded array declarations into
-        # the function fingerprint.
+        # the function fingerprint; v4 dropped the engine section and
+        # keys profile-free configs unprofiled.
         from repro.serve.keys import KEY_SCHEMA
 
-        assert KEY_SCHEMA == 3
+        assert KEY_SCHEMA == 4

@@ -143,14 +143,12 @@ class _GatedBuild:
         self.started = threading.Event()
         self.calls = 0
 
-    def __call__(self, prepared, config, *, key, engine="compiled",
-                 train_args=None, max_steps=2_000_000):
+    def __call__(self, prepared, config, *, key, train_args=None,
+                 max_steps=2_000_000):
         self.calls += 1
         self.started.set()
         assert self.release.wait(timeout=10.0), "test never released build"
-        return Artifact(
-            key=key, variant=config.variant, engine=engine, func=prepared
-        )
+        return Artifact(key=key, variant=config.variant, func=prepared)
 
 
 class TestCrossProcessSingleFlight:

@@ -41,14 +41,12 @@ class _GatedBuild:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def __call__(self, prepared, config, *, key, engine="compiled",
-                 train_args=None, max_steps=2_000_000):
+    def __call__(self, prepared, config, *, key, train_args=None,
+                 max_steps=2_000_000):
         with self._lock:
             self.calls += 1
         assert self.release.wait(timeout=10.0), "test never released build"
-        return Artifact(
-            key=key, variant=config.variant, engine=engine, func=prepared
-        )
+        return Artifact(key=key, variant=config.variant, func=prepared)
 
 
 class TestBasicServing:
@@ -99,46 +97,21 @@ class TestBasicServing:
         assert "train_args" in response.error
         assert service.metrics.get("errors") == 1
 
-    def test_solver_on_the_wire(self, loop_source):
-        request = CompileRequest.from_dict({
-            "source": loop_source, "args": [2, 3, 5],
-            "variant": "mc-ssapre", "train_args": [2, 3, 4],
-            "solver": "lospre",
-        })
-        assert request.solver == "lospre"
+    def test_profile_free_requests_ignore_train_args(self, diamond_source):
+        # ssapre never reads a profile, so two requests that differ only
+        # in train_args are one artifact: one compile, one key.
         with CompileService() as service:
-            response = service.handle(request)
-        assert response.status == "ok"
-        assert not response.degraded
-
-    def test_auto_request_shares_the_resolved_cache_entry(
-        self, loop_source
-    ):
-        # The loop CFG is accepted by the shape classifier, so auto
-        # resolves to lospre and the second request must be a cache hit
-        # on the same key, not a second compile.
-        with CompileService() as service:
-            forced = service.handle(CompileRequest(
-                source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
-                train_args=(2, 3, 4), solver="lospre",
-            ))
-            auto = service.handle(CompileRequest(
-                source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
-                train_args=(2, 3, 4), solver="auto",
-            ))
+            first, second = (
+                service.handle(CompileRequest(
+                    source=diamond_source, args=(4, 5, 1), variant="ssapre",
+                    train_args=train_args,
+                ))
+                for train_args in ((1, 2, 3), (7, 8, 9))
+            )
             assert service.metrics.get("compiles") == 1
-        assert forced.key == auto.key
-        assert auto.served_by == "memory"
-        assert auto.observable() == forced.observable()
-
-    def test_unknown_solver_is_a_request_error(self, loop_source):
-        with CompileService() as service:
-            response = service.handle(CompileRequest(
-                source=loop_source, args=(2, 3, 5), variant="mc-ssapre",
-                train_args=(2, 3, 4), solver="simplex",
-            ))
-        assert response.status == "error"
-        assert "solver" in response.error
+        assert first.key == second.key
+        assert second.served_by == "memory"
+        assert first.observable() == second.observable()
 
 
 class TestSingleFlight:
@@ -283,8 +256,9 @@ class TestRequestParsing:
         assert request.train_args == (4, 5, 6)
 
     def test_from_dict_rejects_unknown_fields(self, diamond_source):
-        # "profiling" selected a counting mode that no longer exists.
-        for field in ("bogus", "profiling"):
+        # "profiling" selected a counting mode that no longer exists;
+        # "engine" and "solver" selected nothing a served answer shows.
+        for field in ("bogus", "profiling", "engine", "solver"):
             with pytest.raises(ValueError, match="unknown request fields"):
                 CompileRequest.from_dict({
                     "source": diamond_source, field: "probes"
@@ -322,8 +296,7 @@ class TestRequestParsing:
         request = CompileRequest.from_dict({
             "source": diamond_source, "args": [], "variant": "ssapre",
             "train_args": None, "fold_constants": True, "cleanup": False,
-            "rounds": 2, "max_steps": 1000, "engine": "reference",
-            "solver": "mincut",
+            "rounds": 2, "max_steps": 1000,
         })
         assert request.config().rounds == 2
         assert request.args == () and request.train_args is None
@@ -331,7 +304,7 @@ class TestRequestParsing:
 
 class TestPlanCache:
     """The one plan path: every service memoises parse/prepare/key per
-    (source, config, engine, train_args), LRU-bounded at
+    (source, config, train_args), LRU-bounded at
     :data:`PLAN_CACHE_SIZE`."""
 
     def test_repeat_requests_hit_cached_plans(self, diamond_source):
@@ -364,12 +337,12 @@ class TestPlanCache:
         assert len(service._plans) == 2
 
     def test_lru_bound_holds(self, diamond_source):
-        # Distinct training inputs make distinct plans (and keys) of one
-        # cheap, unprofiled program.
+        # Renamed copies of one cheap, unprofiled program make distinct
+        # plans (sharing one key: the name is not key material).
         def request(i):
             return CompileRequest(
-                source=diamond_source, args=(4, 5, 1), variant="none",
-                train_args=(i,),
+                source=diamond_source.replace("diamond", f"diamond{i}"),
+                args=(4, 5, 1), variant="none",
             )
 
         with CompileService() as service:
@@ -425,8 +398,7 @@ class TestPlanCache:
     def test_concurrent_configs_match_fresh_services(self, loop_source):
         configs = [
             {"variant": "mc-ssapre", "train_args": (2, 3, 7)},
-            {"variant": "mc-ssapre", "train_args": (2, 3, 7),
-             "solver": "lospre"},
+            {"variant": "mc-ssapre", "train_args": (2, 3, 7), "rounds": 2},
             {"variant": "ssapre-sp", "cleanup": True},
             {"variant": "lcm"},
         ]
@@ -469,9 +441,7 @@ class TestPlanCache:
         assert [a.served_by for a in answers] == ["interp"] * 3
         # The plan's key is the structural key when adapt is on.
         prepared = prepare(parse_function(loop_source))
-        assert skey == structural_key(
-            prepared, request.config(), engine=request.engine
-        )
+        assert skey == structural_key(prepared, request.config())
         assert {a.key for a in answers} == {skey}
 
 

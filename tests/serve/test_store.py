@@ -442,7 +442,7 @@ root, source, variant, rounds_str = sys.argv[1:5]
 disk = DiskStore(root)
 prepared = prepare(parse_function(source))
 config = PipelineConfig(variant=variant)
-key = artifact_key(prepared, config, engine="compiled")
+key = artifact_key(prepared, config)
 artifact = build_artifact(prepared, config, key=key)
 print("ready", flush=True)
 sys.stdin.readline()  # barrier: the parent releases all writers at once
