@@ -19,11 +19,13 @@ SSAPRE's hypothetical Φs live):
   computation (locally available at block exit).
 
 On a non-SSA program these predicates are exact.  On an SSA program they
-are exact for *downward* analyses (anticipability) and conservative for
-*upward* ones (availability), because a lexical analysis cannot see a value
-surviving a renaming variable-phi; the sparse FRG analyses can, which is
-one of the reasons the paper's approach is preferable.  Tests exploit both
-facts.
+are conservative in both directions, because a lexical analysis cannot see
+a value surviving a renaming variable-phi: availability misses it, and so
+does anticipability, whose backward meet applies ``phi_kill`` on the edge
+into such a phi even where the value flows through (generated seed 88
+loses down-safety that way).  The sparse FRG analyses can see it, which is
+one of the reasons the paper's approach is preferable.  DESIGN.md §4,
+decision 1, records this blind spot of the down-safety oracle.
 """
 
 from __future__ import annotations

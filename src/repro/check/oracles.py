@@ -49,6 +49,7 @@ from repro.bench.generator import ProgramSpec
 from repro.ir.function import Function
 from repro.ir.instructions import Assign
 from repro.ir.memory import key_may_trap
+from repro.ir.printer import format_function
 from repro.profiles.counts import normalize_expr_counts
 from repro.profiles.interp import RunResult, run_function
 from repro.profiles.profile import ExecutionProfile
@@ -463,7 +464,8 @@ def cache_consistency_oracle(case: CheckCase) -> OracleReport:
     which loads the marshalled bytecode), re-pickles the disk hit with a
     stale bytecode tag (forcing regeneration from the stored source),
     rebuilds it cold a second time under the same content address, and
-    requires all five to run identically on every case input.
+    requires all five to hold the same optimised IR and to run
+    identically on every case input.
     """
     import shutil
     import tempfile
@@ -513,19 +515,30 @@ def cache_consistency_oracle(case: CheckCase) -> OracleReport:
                 f"stored artifact missed the disk tier (tier={disk_tier!r})",
             )
             return report
+        # Copied before anything reads the disk hit's IR: the copy
+        # re-pickles an artifact whose function is still undecoded bytes.
         from_source = stale_bytecode_copy(warm_disk)
         recompiled = build_artifact(
             case.prepared, config, key=key, train_args=train_args,
             max_steps=case.max_steps,
         )
+        tiers = (
+            ("memory-hit", warm_memory),
+            ("disk-hit", warm_disk),
+            ("disk-hit-source", from_source),
+            ("recompile", recompiled),
+        )
+        expected_ir = format_function(cold.func)
+        for source, artifact in tiers:
+            report.checks += 1
+            if format_function(artifact.func) != expected_ir:
+                report.fail(
+                    _CACHE_VARIANT, "cache-divergence",
+                    f"{source} IR differs from the cold build's",
+                )
         for i, args in enumerate(case.inputs):
             expected = _run_fingerprint(cold, args, case.max_steps)
-            for source, artifact in (
-                ("memory-hit", warm_memory),
-                ("disk-hit", warm_disk),
-                ("disk-hit-source", from_source),
-                ("recompile", recompiled),
-            ):
+            for source, artifact in tiers:
                 report.checks += 1
                 got = _run_fingerprint(artifact, args, case.max_steps)
                 if got != expected:

@@ -36,8 +36,9 @@ from repro.profiles.profile import ExecutionProfile
 
 #: Version of the BENCH.json layout.  docs/PERF.md documents the
 #: layout and what each version changed; v11 added the paper's sections;
-#: v12 dropped the ``solver`` knob and the serving ``solver=auto`` pin.
-BENCH_SCHEMA_VERSION = 12
+#: v12 dropped the ``solver`` knob and the serving ``solver=auto`` pin;
+#: v13 added the serving ``disk_s`` row.
+BENCH_SCHEMA_VERSION = 13
 
 #: Step budget for the measured runs (matches the pipeline default).
 MAX_STEPS = 5_000_000
@@ -770,7 +771,9 @@ def bench_serving(
       artifact cached; best of at least :data:`SERVING_WARM_PASSES`
       passes) must beat serving them cold (every artifact compiled) by
       :data:`SERVING_MIN_SPEEDUP`;
-    * **equivalent** — warm answers must be bit-identical to cold ones
+    * **equivalent** — warm answers, and the ``disk_s`` pass's answers
+      (the pool served from the disk tier the cold pass filled, every
+      request a disk hit), must be bit-identical to cold ones
       (observables, dynamic cost, step count);
     * **hit rate** — the interleaved load-generator run must achieve
       exactly the hit rate its request mix admits, with zero mismatches
@@ -778,20 +781,37 @@ def bench_serving(
     * **coalescing** — :data:`SERVING_COALESCE_CLIENTS` concurrent
       identical requests must trigger exactly one compile.
     """
+    import tempfile
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.serve.loadgen import WorkloadSpec, build_workload, run_load
     from repro.serve.server import CompileService
+    from repro.serve.store import ArtifactStore
 
     spec = WorkloadSpec(requests=requests, unique=unique)
     workload = build_workload(spec)
     pool = workload.requests[:unique]
 
-    def cold_pass():
-        with CompileService() as service:
-            return [service.handle(request) for request in pool]
+    with tempfile.TemporaryDirectory(prefix="repro-bench-disk-") as tmp:
+        filled: list[str] = []
 
-    cold_s, cold_responses = _best_of(repeat, cold_pass)
+        def cold_pass():
+            # A fresh directory per pass, so every request compiles.
+            filled.append(tempfile.mkdtemp(dir=tmp))
+            store = ArtifactStore.with_disk(filled[-1])
+            with CompileService(store=store) as service:
+                return [service.handle(request) for request in pool]
+
+        cold_s, cold_responses = _best_of(repeat, cold_pass)
+
+        # The pool's keys cycle through a one-entry memory tier, so every
+        # request is a disk hit; the first pass also fills the plan cache.
+        store = ArtifactStore.with_disk(filled[0], max_entries=1)
+        with CompileService(store=store) as service:
+            disk_s, disk_responses = _best_of(
+                max(repeat, SERVING_WARM_PASSES),
+                lambda: [service.handle(request) for request in pool],
+            )
 
     warm_service = CompileService()
     for request in pool:  # populate the cache once
@@ -810,10 +830,16 @@ def bench_serving(
             response.steps,
         )
 
-    equivalent = all(
-        answer(cold) == answer(warm)
-        for cold, warm in zip(cold_responses, warm_responses)
-    ) and all(r.status == "ok" for r in cold_responses)
+    equivalent = (
+        all(
+            answer(cold) == answer(warm) == answer(disk)
+            for cold, warm, disk in zip(
+                cold_responses, warm_responses, disk_responses
+            )
+        )
+        and all(r.status == "ok" for r in cold_responses)
+        and all(r.served_by == "disk" for r in disk_responses)
+    )
 
     with CompileService() as service:
         load_report, _responses = run_load(service, workload, jobs=1)
@@ -846,6 +872,7 @@ def bench_serving(
         "unique": unique,
         "cold_s": round(cold_s, 6),
         "warm_s": round(warm_s, 6),
+        "disk_s": round(disk_s, 6),
         "speedup": speedup,
         "min_speedup": SERVING_MIN_SPEEDUP,
         "equivalent": equivalent,

@@ -28,6 +28,14 @@ Tiers:
   memory first, then disk (promoting hits into memory), writes go to
   both.  Each artifact is pickled once: a disk-backed put writes the
   bytes it measured, and a disk hit's size is the payload it read.
+
+An artifact pickles its optimised function as a pickle of its own,
+nested in the artifact's payload (so the digest covers it).  A disk hit
+decodes only the lowered program it runs; :attr:`Artifact.func` is
+decoded on first read, and an artifact that was never decoded pickles
+those bytes through unchanged.  A degraded artifact runs its function,
+so :meth:`DiskStore.get` decodes it at once, inside the corruption
+check.
 """
 
 from __future__ import annotations
@@ -60,7 +68,9 @@ from repro.profiles.compiled import CompiledProgram
 #:    entry lowered in the retired sparse mode has no ``_derive``).
 #: 7: ``engine`` is gone: every artifact trains on and lowers for the
 #:    compiled engine.
-ARTIFACT_SCHEMA = 7
+#: 8: ``func`` pickles as its own nested pickle (``_func_bytes``), decoded
+#:    on first read.
+ARTIFACT_SCHEMA = 8
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -71,6 +81,10 @@ __all__ = [
 ]
 
 
+#: Serialises first reads of an unpickled :attr:`Artifact.func`.
+_DECODE_LOCK = threading.Lock()
+
+
 @dataclass
 class Artifact:
     """One cached compile: optimised function + lowered program + report."""
@@ -78,6 +92,7 @@ class Artifact:
     key: str
     variant: str
     #: The optimised (non-SSA) function, ready for the reference engine.
+    #: An unpickled artifact holds it as ``_func_bytes`` until first read.
     func: Function
     #: The lowered program for the compiled engine; ``None`` when the
     #: artifact is degraded (the compile failed and the service fell back
@@ -113,10 +128,47 @@ class Artifact:
             _dumps(self)
         return self._nbytes
 
+    # -- pickling: ``func`` travels as ``_func_bytes`` (module docstring).
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_nbytes"] = None  # set by whoever reads the payload
+        func = state.pop("func", None)
+        if "_func_bytes" not in state:
+            state["_func_bytes"] = pickle.dumps(
+                func, protocol=pickle.HIGHEST_PROTOCOL
+            )
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Not pickle's default, which interns the state's keys and so
+        # parts them from the equal strings the payload shares them with
+        # (the report's keys): re-pickled, the artifact would then no
+        # longer reproduce the payload it was read from.
+        self.__dict__.update(state)
+
+    def __getattr__(self, name: str):
+        # Reached only while ``func`` is not in the instance dict: an
+        # unpickled artifact whose function nobody has read yet.  One
+        # lock for all artifacts (only first reads take it) makes that
+        # read decode once, so every reader gets the same Function.
+        state = self.__dict__
+        if name != "func":
+            raise AttributeError(name)
+        with _DECODE_LOCK:
+            if "func" not in state:
+                if "_func_bytes" not in state:
+                    raise AttributeError(name)
+                state["func"] = _loads_func(state["_func_bytes"])
+                del state["_func_bytes"]  # after ``func`` is published
+        return state["func"]
+
+
+def _loads_func(blob: bytes) -> Function:
+    """Decode an artifact's pickled function (its first read)."""
+    func = pickle.loads(blob)
+    if not isinstance(func, Function):
+        raise TypeError(f"artifact IR is a {type(func).__name__}")
+    return func
 
 
 def _dumps(artifact: Artifact) -> bytes:
@@ -234,6 +286,8 @@ class DiskStore:
                 raise ValueError("wrong artifact type or schema")
             if artifact.key != key:
                 raise ValueError("artifact key does not match its filename")
+            if artifact.program is None:
+                artifact.func  # degraded: it runs its IR, so decode it now
         except Exception:  # noqa: BLE001 - corruption is expected, not fatal
             self.corrupt += 1
             try:

@@ -65,7 +65,8 @@ SPECULATION_PIN_KEYS = {
     "safe_loads", "mc_loads", "observables_match", "ok",
 }
 SERVING_KEYS = {
-    "requests", "unique", "cold_s", "warm_s", "speedup", "min_speedup",
+    "requests", "unique", "cold_s", "warm_s", "disk_s", "speedup",
+    "min_speedup",
     "equivalent", "hit_rate", "expected_hit_rate", "mismatches",
     "load_rps", "coalescing", "adaptation", "cluster", "ok",
 }
@@ -229,6 +230,7 @@ class TestCli:
         assert set(serving) == SERVING_KEYS
         assert serving["ok"] is True
         assert serving["equivalent"] is True
+        assert serving["disk_s"] > 0
         assert serving["mismatches"] == 0
         assert serving["speedup"] >= serving["min_speedup"]
         assert serving["hit_rate"] >= serving["expected_hit_rate"]

@@ -316,6 +316,180 @@ class TestSchemaUpgrade:
         _assert_quarantined_and_recompiled(tmp_path, key, request)
 
 
+    @pytest.mark.parametrize("header_schema", [7, ARTIFACT_SCHEMA])
+    def test_schema_7_file_is_quarantined_and_recompiled(
+        self, tmp_path, monkeypatch, stored_loop, header_schema
+    ):
+        from repro.serve.store import Artifact
+
+        request, key, artifact = stored_loop
+
+        def eager_state(art):
+            # Schema 7 pickled ``func`` in place, not as nested bytes.
+            return {**art.__dict__, "_nbytes": None}
+
+        monkeypatch.setattr(Artifact, "__getstate__", eager_state)
+        artifact.schema = 7
+        payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        assert b"_func_bytes" not in payload
+        header = b"repro-artifact\x00" + header_schema.to_bytes(2, "big")
+        digest = hashlib.blake2b(payload, digest_size=DiskStore.DIGEST_SIZE)
+        path = DiskStore(tmp_path).path(key)
+        path.write_bytes(header + digest.digest() + payload)
+        _assert_quarantined_and_recompiled(tmp_path, key, request)
+
+
+class TestLazyIR:
+    """A disk hit decodes the program it runs, not its IR function."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Every IR decode the store makes, as the blobs it decoded."""
+        from repro.serve import store
+
+        calls = []
+        loads = store._loads_func
+
+        def counting(blob):
+            calls.append(blob)
+            return loads(blob)
+
+        monkeypatch.setattr(store, "_loads_func", counting)
+        return calls
+
+    def test_disk_hit_serves_without_decoding_its_ir(
+        self, tmp_path, stored_loop, decodes
+    ):
+        from repro.ir.printer import format_function
+
+        request, key, artifact = stored_loop
+        response, corrupt = _serve_once(tmp_path, request)
+        assert corrupt == (0, 0)
+        assert response.served_by == "disk"
+        assert response.observable() == _reference_answer()
+        assert decodes == []
+
+        got = DiskStore(tmp_path).get(key)
+        assert decodes == []
+        assert format_function(got.func) == format_function(artifact.func)
+        assert got.func is got.func  # decoded once, then kept
+        assert len(decodes) == 1
+        assert "_func_bytes" not in got.__dict__
+
+    def test_concurrent_first_reads_decode_once(
+        self, tmp_path, monkeypatch, stored_loop, decodes
+    ):
+        import sys
+        import threading
+        import time
+
+        from repro.serve import store
+
+        counted = store._loads_func
+
+        def slow(blob):  # widen the window a racing reader could use
+            time.sleep(0.01)
+            return counted(blob)
+
+        monkeypatch.setattr(store, "_loads_func", slow)
+        _, key, _ = stored_loop
+        got = DiskStore(tmp_path).get(key)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=10)
+            seen.append(got.func)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(func is seen[0] for func in seen)
+        assert len(decodes) == 1
+
+    def test_repickling_an_undecoded_hit_passes_its_payload_through(
+        self, tmp_path, stored_loop, decodes, monkeypatch
+    ):
+        from repro.check.oracles import stale_bytecode_copy
+
+        _, key, _ = stored_loop
+        disk = DiskStore(tmp_path)
+        got = disk.get(key)
+        payload = _payload(disk.path(key))
+        assert got.nbytes() == len(payload)
+        stale = stale_bytecode_copy(got)
+        assert pickle.dumps(got, protocol=pickle.HIGHEST_PROTOCOL) == payload
+        assert decodes == []
+        assert stale.__dict__["_func_bytes"] == got.__dict__["_func_bytes"]
+
+        dumped = []
+        dumps = pickle.dumps
+
+        def counting(*args, **kwargs):
+            dumped.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serve.store.pickle.dumps", counting)
+        disk.put(key, got)  # a re-put
+        assert dumped == [got]
+        assert decodes == []
+        assert _payload(disk.path(key)) == payload
+
+    def test_degraded_artifact_round_trips_and_answers(self, tmp_path, decodes):
+        from repro.pipeline import prepare
+        from repro.profiles.interp import run_function
+        from repro.serve.server import execute_artifact
+        from repro.serve.store import Artifact
+
+        prepared = prepare(build_while_loop())
+        key = "d" * 64
+        degraded = Artifact(key, "mc-ssapre", func=prepared, degraded=True)
+        ArtifactStore.with_disk(tmp_path).put(key, degraded)
+        got, tier = ArtifactStore.with_disk(tmp_path).get(key)
+        assert tier == "disk"
+        assert got.program is None and got.degraded
+        assert len(decodes) == 1  # decoded at ``get``, not at execute
+        for args in ([2, 3, 5], [0, 0, 0], [7, 1, 4]):
+            assert execute_artifact(got, tuple(args)).observable() == (
+                run_function(prepared, args).observable()
+            )
+        assert len(decodes) == 1
+
+    @pytest.mark.parametrize("ir_bytes", [
+        pytest.param(b"not a pickle", id="garbage"),
+        pytest.param(pickle.dumps(42), id="not-a-function"),
+    ])
+    def test_degraded_entry_with_bad_ir_is_quarantined_at_get(
+        self, tmp_path, ir_bytes
+    ):
+        from repro.pipeline import prepare
+        from repro.serve.store import Artifact
+
+        key = "e" * 64
+        degraded = Artifact(
+            key, "mc-ssapre", func=prepare(build_while_loop()), degraded=True
+        )
+        state = {**degraded.__getstate__(), "_func_bytes": ir_bytes}
+        broken = Artifact.__new__(Artifact)
+        broken.__setstate__(state)
+        path = DiskStore(tmp_path).path(key)
+        _write_framed(path, pickle.dumps(broken))  # a valid digest
+        store = ArtifactStore.with_disk(tmp_path)
+        assert store.get(key) == (None, None)
+        assert store.disk_corrupt == 1
+        assert path.with_suffix(".corrupt").exists()
+
+
 def _flip_positions(blob: bytes, artifact) -> list[int]:
     """64 positions over the header + digest, the marshalled bytecode
     and the generated source of one stored entry."""
@@ -403,7 +577,9 @@ class TestNbytesAccounting:
             artifact, _ = svc.store.get(response.key)
             used = svc.store.memory.bytes_used()
         assert response.served_by == "compile"
-        assert calls == [artifact]
+        # One serialisation per put: the artifact, with its IR dumped
+        # once inside it as the nested ``_func_bytes`` pickle.
+        assert calls == [artifact, artifact.func]
         payload = _payload(DiskStore(tmp_path).path(response.key))
         assert used == artifact.nbytes() == len(payload)
 
@@ -420,7 +596,7 @@ class TestNbytesAccounting:
         store = ArtifactStore()
         store.put(key, artifact)
         store.put(key, artifact)
-        assert calls == [artifact]
+        assert calls == [artifact, artifact.func]  # the IR nests inside
         assert store.memory.bytes_used() == len(dumps(artifact))
 
 
